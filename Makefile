@@ -6,7 +6,7 @@ BENCH_RE ?= BenchmarkLTF|BenchmarkRLTF|BenchmarkReplan|BenchmarkSim|BenchmarkTim
 BENCHTIME ?= 5x
 COUNT ?= 3
 
-.PHONY: all build fmt vet lint fuzz test test-full cover bench bench-record bench-compare bench-trend baseline serve smoke chaos ci
+.PHONY: all build fmt vet lint fuzz test test-full cover bench bench-record bench-compare bench-trend baseline serve smoke chaos perfbench-test ci
 
 all: build
 
@@ -102,4 +102,10 @@ chaos:
 	$(GO) test -race -run 'TestChaos|TestInjected|TestBatchFollower|TestDrainUnderLoad|TestReadyz|TestFaultSite|TestSnapshot' ./internal/service/
 	bash scripts/service-smoke.sh --chaos
 
-ci: build lint test smoke chaos bench-compare
+# perfbench-test vets and self-tests the end-to-end benchmark. perfbench/
+# is a nested module, so the root ./... never compiles it, yet it imports
+# the service surface directly. Same step as the ci.yml perfbench job.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: build lint test smoke chaos perfbench-test bench-compare

@@ -138,7 +138,7 @@ func main() {
 	}
 	switch {
 	case *queue == 0:
-		cfg.NoQueue = true
+		cfg.QueueLimit = -1
 	case *queue > 0:
 		cfg.QueueLimit = *queue
 	}

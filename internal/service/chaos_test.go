@@ -264,6 +264,28 @@ func TestReadyzLifecycle(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503-drain response missing Retry-After")
 	}
+	// So is every other endpoint's: a batch whose every problem meets the
+	// drain is refused whole, not answered 200 with per-problem refusals.
+	base := feasibleRequest(2)
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/batch", BatchRequest{Options: base.Options, Problems: []BatchProblem{
+			{Graph: base.Graph, Platform: base.Platform},
+			{Graph: feasibleRequest(3).Graph, Platform: base.Platform},
+		}}},
+		{"/v1/replan", replanRequest(t, 2, PlatformDelta{})},
+		{"/v1/simulate", SimulateRequest{Graph: base.Graph, Platform: base.Platform, Options: base.Options}},
+	} {
+		resp, data := postJSON(t, ts.Client(), ts.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("%s while draining = %d, want 503 (%s)", tc.path, resp.StatusCode, data)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s 503-drain response missing Retry-After", tc.path)
+		}
+	}
 }
 
 // TestFaultSiteAdmitReject covers the admission site: an armed reject

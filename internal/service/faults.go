@@ -17,8 +17,8 @@ package service
 // unwound defers. The requester that led the flight reports the failure
 // (HTTP 500 with the stable "internal-panic" token); coalesced followers
 // do NOT inherit it — a panic is not a property of the problem, so
-// followers retry the pipeline (solveProblem/replanProblem loop) and one
-// of them leads a fresh flight. Retries are bounded: a deterministically
+// followers re-enter the job path at claim (handle.go, await) and one of
+// them leads a fresh flight. Retries are bounded: a deterministically
 // panicking flight (site policy "always") surfaces the failure after
 // maxPanicRetries rather than spinning.
 

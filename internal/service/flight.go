@@ -10,11 +10,13 @@ import (
 	"sync"
 )
 
-// flight is one in-progress computation of a problem hash. done is closed
+// flight is one in-progress computation of a problem hash. job is what
+// the leader computes, set before the leader starts it; done is closed
 // exactly once, after out/err are written, so waiters read them without
 // further synchronization.
 type flight struct {
 	done chan struct{}
+	job  job
 	out  outcome
 	err  error
 }

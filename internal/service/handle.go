@@ -3,33 +3,42 @@ package service
 // The in-process service API. Handle owns the full serving pipeline —
 // canonical hashing, the LRU result cache, single-flight coalescing,
 // admission (bounded queue + worker slots) and the metrics — with no HTTP
-// anywhere in sight: embedders call Solve/SolveBatch/Replan directly and
-// get the same caching, coalescing and backpressure behaviour as a remote
-// client of streamschedd. Server (server.go) is a thin HTTP adapter over a
-// Handle: it decodes wire DTOs, delegates here, and renders responses.
+// anywhere in sight: embedders call Solve/SolveBatch/Replan/Simulate
+// directly and get the same caching, coalescing and backpressure behaviour
+// as a remote client of streamschedd. Server (server.go) is a thin HTTP
+// adapter over a Handle: it decodes wire DTOs, delegates here, and renders
+// responses.
 //
-// Request lifecycle for Solve:
+// Every request runs one path. A job is a cache key plus what a led
+// flight computes — a solve of a Spec, or a replan of a ReplanSpec — and
+// each job goes through:
 //
-//	canonical hash → cache (hit: return) → flight Claim
-//	  follower: wait for the flight's outcome (no queue slot consumed)
-//	  leader:   start the flight — admission (bounded queue → worker
-//	            slot) → solve → cache.Put → Fulfill — in a DETACHED
-//	            goroutine under the handle's own compute budget
-//	            (MaxTimeout), then wait on it like a follower
+//	open:  refuse while draining, validate, hash (the "hash" span)
+//	claim: cache hit → done; else follow the key's flight, or lead a new one
+//	lead:  detached, under MaxTimeout and behind recoverFault: re-check
+//	       the cache → admit → compute → fold infeasibility → render →
+//	       cache.Put → Fulfill
+//	await: wait for the flight under the caller's deadline; a follower
+//	       whose foreign flight panicked re-enters at claim (bounded)
+//
+// Solve and Replan are one job each. SolveBatch claims every element in
+// request order, then runs only its led flights on one Workers-wide
+// core.Batch pool. Simulate is a solve job followed by the scenario sweep
+// as its own admitted work unit.
 //
 // Detaching the computation from the leader's caller context is what
 // makes coalescing sound: a leader that gives up, or whose deadline is
 // shorter than a follower's, must not poison the followers with its
 // context error. Every caller honors its own deadline while waiting; the
 // work itself always runs to completion (within MaxTimeout) and lands in
-// the cache. Replan runs the same lifecycle keyed by ReplanHash — the
-// (problem, schedule, delta, policy) tuple — in the same cache and flight
-// map as Solve (the key spaces are disjoint by construction: distinct
-// leading magics).
+// the cache. Solve and replan jobs share one cache and flight map (the key
+// spaces are disjoint by construction: distinct leading magics).
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,9 +46,11 @@ import (
 	"streamsched/internal/core"
 	"streamsched/internal/dag"
 	"streamsched/internal/faultinject"
+	"streamsched/internal/infeas"
 	"streamsched/internal/obs"
 	"streamsched/internal/platform"
 	"streamsched/internal/schedule"
+	"streamsched/internal/sim"
 )
 
 // ErrQueueFull is the admission rejection: the handle already has
@@ -176,8 +187,8 @@ func (sp ReplanSpec) validate() error {
 	return nil
 }
 
-// Outcome is the in-process result of Solve or Replan. Exactly one of
-// Schedule (with ScheduleJSON and Summary) and Infeasible is set.
+// Outcome is the in-process result of Solve, Replan or Simulate's solve.
+// Exactly one of ScheduleJSON (with Summary) and Infeasible is set.
 type Outcome struct {
 	// Hash is the canonical cache key of the request.
 	Hash string
@@ -186,7 +197,8 @@ type Outcome struct {
 	Cached    bool
 	Coalesced bool
 	// Schedule is the result; ScheduleJSON its interchange rendering,
-	// marshalled once at solve time and shared by every cache hit.
+	// marshalled once at solve time and shared by every cache hit. An
+	// outcome replayed from a snapshot carries no Schedule, only the bytes.
 	Schedule     *schedule.Schedule
 	ScheduleJSON []byte
 	Summary      *ScheduleSummary
@@ -221,120 +233,431 @@ func publish(out outcome, hash string, state hitState) Outcome {
 
 // Solve resolves one problem through cache → coalescing → admission →
 // solver, waiting under ctx (which should carry the caller's deadline).
-// Infeasibility is an Outcome, not an error; ErrQueueFull and context
-// errors are errors.
+// Infeasibility is an Outcome, not an error; ErrQueueFull, ErrDraining and
+// context errors are errors.
 func (h *Handle) Solve(ctx context.Context, sp Spec) (Outcome, error) {
-	if h.Draining() {
-		return Outcome{}, ErrDraining
-	}
-	if err := sp.validate(); err != nil {
-		return Outcome{}, err
-	}
-	out, hash, state, err := h.solveProblem(ctx, sp.Graph, sp.Platform, sp.Solver)
-	if err != nil {
-		return Outcome{Hash: hash}, err
-	}
-	return publish(out, hash, state), nil
+	return h.do(ctx, job{solve: sp})
 }
 
-// Replan resolves one replan request through the same cache → coalescing →
-// admission pipeline as Solve, keyed by the canonical replan hash.
+// Replan resolves one replan request through the same pipeline as Solve,
+// keyed by the canonical replan hash.
 func (h *Handle) Replan(ctx context.Context, sp ReplanSpec) (Outcome, error) {
-	if h.Draining() {
-		return Outcome{}, ErrDraining
-	}
-	if err := sp.validate(); err != nil {
-		return Outcome{}, err
-	}
-	hash, err := ReplanHash(sp)
-	if err != nil {
-		return Outcome{}, err
-	}
-	out, state, err := h.replanProblem(ctx, hash, sp)
-	if err != nil {
-		return Outcome{Hash: hash}, err
-	}
-	return publish(out, hash, state), nil
+	return h.do(ctx, job{replan: sp, isReplan: true})
 }
 
 // SolveBatch resolves many problems, returning one result per spec in
-// order. Cache hits and coalesced joins resolve without consuming solver
-// capacity; the led solves fan out through core.Batch on the worker pool,
-// each admitting itself as its own work unit, so one batch can never
-// exceed the handle's Workers bound. A nil result error accompanies a
+// order. Every element is claimed first, in request order: cache hits and
+// coalesced joins resolve without consuming solver capacity, and the led
+// solves then fan out through core.Batch on a Workers-wide pool, each
+// admitting itself as its own work unit, so one batch can never exceed
+// the handle's Workers+QueueLimit bound. A nil result error accompanies a
 // complete Outcome (possibly infeasible).
 func (h *Handle) SolveBatch(ctx context.Context, specs []Spec) []BatchResult {
-	if h.Draining() {
-		results := make([]BatchResult, len(specs))
-		for i := range results {
-			results[i] = BatchResult{Err: ErrDraining}
+	sp := obs.FromContext(ctx)
+	jobs := make([]job, len(specs))
+	claims := make([]claimed, len(specs))
+	var leads []int
+	for i := range specs {
+		jobs[i].solve = specs[i]
+		if claims[i].err = h.open(&jobs[i], sp); claims[i].err != nil {
+			continue
 		}
-		return results
+		claims[i] = h.claim(&jobs[i], sp, false)
+		if claims[i].f != nil && claims[i].state == hitSolved {
+			leads = append(leads, i)
+		}
 	}
-	items := make([]batchItem, len(specs))
-	var leaders []int
-	for i, sp := range specs {
-		it := &items[i]
-		if it.err = sp.validate(); it.err != nil {
-			continue
-		}
-		it.g, it.p, it.sv = sp.Graph, sp.Platform, sp.Solver
-		it.hash = ProblemHash(it.g, it.p, it.sv)
-		if out, ok := h.cache.Get(it.hash); ok {
-			h.m.cacheHits.Add(1)
-			it.out, it.state = out, hitCache
-			continue
-		}
-		f, leader, err := h.claimFlight(it.hash)
-		if err != nil {
-			it.err = err
-			continue
-		}
-		if !leader {
-			h.m.coalesced.Add(1)
-			it.flight, it.state = f, hitCoalesced
-			continue
-		}
-		h.m.cacheMisses.Add(1)
-		it.lead = f
-		leaders = append(leaders, i)
+	if len(leads) > 0 {
+		go h.leadBatch(claims, leads, sp)
 	}
-
-	// Start the led solves detached from this caller's context, like any
-	// flight (file header), then collect every non-cached element's flight
-	// under the caller's deadline.
-	if len(leaders) > 0 {
-		go h.runBatchFlights(leaders, items, obs.FromContext(ctx))
-	}
-	results := make([]BatchResult, len(items))
-	for i := range items {
-		it := &items[i]
-		if f := it.lead; f != nil {
-			it.out, it.err = f.Wait(ctx)
-		} else if it.flight != nil {
-			it.out, it.err = it.flight.Wait(ctx)
-			if errors.Is(it.err, ErrInternalPanic) {
-				// The foreign flight this item coalesced onto panicked;
-				// retry through the full pipeline like any follower.
-				it.out, _, it.state, it.err = h.solveProblem(ctx, it.g, it.p, it.sv)
-			}
-		}
-		if it.err != nil {
-			results[i] = BatchResult{Outcome: Outcome{Hash: it.hash}, Err: it.err}
-			continue
-		}
-		results[i] = BatchResult{Outcome: publish(it.out, it.hash, it.state)}
+	results := make([]BatchResult, len(specs))
+	for i := range specs {
+		results[i].Outcome, results[i].Err = h.await(ctx, &jobs[i], claims[i], sp)
 	}
 	return results
 }
 
-// ---- internal pipeline ---------------------------------------------------
+// Simulate solves sp as a Solve job (same cache and hash space), then runs
+// the scenario sweep on one reused sim.Engine as its own admitted work
+// unit. The two acquisitions are sequential, never nested, so a
+// one-worker handle cannot deadlock against its own solve. Empty
+// scenarios run one default scenario; crash processors must index the
+// platform. An infeasible problem returns its Outcome and no results.
+func (h *Handle) Simulate(ctx context.Context, sp Spec, scenarios []Scenario) (Outcome, []ScenarioResult, error) {
+	if err := sp.validate(); err != nil {
+		return Outcome{}, nil, err
+	}
+	if err := checkScenarios(scenarios, sp.Platform.NumProcs()); err != nil {
+		return Outcome{}, nil, err
+	}
+	out, err := h.Solve(ctx, sp)
+	if err != nil || out.Infeasible != nil {
+		return out, nil, err
+	}
+	sched := out.Schedule
+	if sched == nil {
+		// The outcome was restored from a snapshot, which keeps only the
+		// rendered bytes (persist.go); rebuild the in-memory schedule from
+		// them against this request's problem — an identical hash means an
+		// identical problem.
+		if sched, err = schedule.LoadJSON(out.ScheduleJSON, sp.Graph, sp.Platform); err != nil {
+			return out, nil, err
+		}
+	}
+	release, err := h.admit(ctx)
+	if err != nil {
+		return out, nil, err
+	}
+	defer release()
 
-// admit acquires one work unit: a place within the Workers+QueueLimit
-// bound, then a worker slot. It returns the release function, ErrQueueFull
-// when the bound is exceeded, or ctx.Err() if the deadline expires while
-// queued.
+	ss := obs.FromContext(ctx).Child("simulate")
+	defer ss.End()
+	if len(scenarios) == 0 {
+		scenarios = []Scenario{{}}
+	}
+	if ss.Active() {
+		ss.SetArg("scenarios", len(scenarios))
+	}
+	// One engine for the whole sweep: the derived schedule tables and the
+	// simulation state buffers are built once and reused per scenario.
+	eng, err := sim.NewEngine(sched)
+	if err != nil {
+		return out, nil, err
+	}
+	results := make([]ScenarioResult, len(scenarios))
+	for i, sc := range scenarios {
+		if results[i], err = h.runScenario(ctx, eng, sched, sc); err != nil {
+			return out, nil, err
+		}
+	}
+	return out, results, nil
+}
+
+// checkScenarios range-checks the crash processors: an out-of-range one
+// would index past the engine's per-processor state.
+func checkScenarios(scenarios []Scenario, procs int) error {
+	for _, sc := range scenarios {
+		for _, u := range sc.CrashProcs {
+			if u < 0 || u >= procs {
+				return fmt.Errorf("service: crash processor %d out of range [0,%d)", u, procs)
+			}
+		}
+	}
+	return nil
+}
+
+// runScenario executes one scenario on the sweep's engine.
+func (h *Handle) runScenario(ctx context.Context, eng *sim.Engine, sched *schedule.Schedule, sc Scenario) (ScenarioResult, error) {
+	cfg := sim.DefaultConfig(sched)
+	if sc.Items > 0 {
+		cfg.Items = sc.Items
+	}
+	if sc.Warmup > 0 {
+		cfg.Warmup = sc.Warmup
+	}
+	cfg.Synchronous = sc.Synchronous
+	if len(sc.CrashProcs) > 0 {
+		procs := make([]platform.ProcID, len(sc.CrashProcs))
+		for i, u := range sc.CrashProcs {
+			procs[i] = platform.ProcID(u)
+		}
+		cfg.Failures = sim.FailureSpec{Procs: procs, At: sc.CrashAt}
+	}
+	h.m.simRuns.Add(1)
+	res, err := eng.Run(ctx, cfg)
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	return ScenarioResult{
+		Name:           sc.Name,
+		MeanLatency:    jsonFloat(res.MeanLatency),
+		MaxLatency:     jsonFloat(res.MaxLatency),
+		AchievedPeriod: jsonFloat(res.AchievedPeriod),
+		Delivered:      res.Delivered,
+		Items:          res.Items,
+	}, nil
+}
+
+// ---- the job path ----------------------------------------------------------
+
+// job is one request on the path: its cache key plus what a led flight
+// computes. The specs travel by value — a closure over them would escape
+// into the flight goroutine and cost an allocation on every request, cache
+// hits included — and a leader copies its job into the flight it starts.
+type job struct {
+	hash     string
+	solve    Spec
+	replan   ReplanSpec
+	isReplan bool
+}
+
+// hitState records how an outcome was obtained.
+type hitState int
+
+const (
+	hitSolved hitState = iota
+	hitCache
+	hitCoalesced
+)
+
+// claimed is a job between claim and await: a cache hit (state hitCache,
+// out final), a follower (hitCoalesced) or the leader (hitSolved) of
+// flight f, or a refusal err.
+type claimed struct {
+	state hitState
+	f     *flight
+	out   outcome
+	err   error
+}
+
+// do runs one job along the whole path, waiting under ctx.
+func (h *Handle) do(ctx context.Context, j job) (Outcome, error) {
+	sp := obs.FromContext(ctx)
+	if err := h.open(&j, sp); err != nil {
+		return Outcome{}, err
+	}
+	return h.await(ctx, &j, h.claim(&j, sp, true), sp)
+}
+
+// open refuses new work while draining, validates the job and computes
+// its cache key under a "hash" span.
+func (h *Handle) open(j *job, sp obs.SpanRef) error {
+	if h.Draining() {
+		return ErrDraining
+	}
+	if j.isReplan {
+		if err := j.replan.validate(); err != nil {
+			return err
+		}
+		hs := sp.Child("hash")
+		var err error
+		j.hash, err = ReplanHash(j.replan)
+		hs.End()
+		return err
+	}
+	if err := j.solve.validate(); err != nil {
+		return err
+	}
+	hs := sp.Child("hash")
+	j.hash = ProblemHash(j.solve.Graph, j.solve.Platform, j.solve.Solver)
+	hs.End()
+	return nil
+}
+
+// claim resolves j from the cache, or joins its key's flight — as a
+// follower of an existing one, or as the leader of a new one, which it
+// starts detached when detach is set (otherwise the caller must run it).
+func (h *Handle) claim(j *job, sp obs.SpanRef, detach bool) claimed {
+	cs := sp.Child("cache")
+	out, ok := h.cache.Get(j.hash)
+	cs.End()
+	if ok {
+		h.m.cacheHits.Add(1)
+		return claimed{state: hitCache, out: out}
+	}
+	f, leader, err := h.claimFlight(j.hash)
+	if err != nil {
+		return claimed{err: err}
+	}
+	if !leader {
+		h.m.coalesced.Add(1)
+		return claimed{state: hitCoalesced, f: f}
+	}
+	h.m.cacheMisses.Add(1)
+	f.job = *j
+	if detach {
+		go h.lead(f, sp)
+	}
+	return claimed{state: hitSolved, f: f}
+}
+
+// await waits for a claimed job's outcome under ctx. A follower whose
+// foreign flight panicked re-enters the path at claim — the panic is the
+// leader's failure, not the problem's — at most maxPanicRetries times, so
+// a deterministically panicking computation still surfaces.
+func (h *Handle) await(ctx context.Context, j *job, c claimed, sp obs.SpanRef) (Outcome, error) {
+	for attempt := 0; ; attempt++ {
+		if c.err != nil {
+			return Outcome{Hash: j.hash}, c.err
+		}
+		if c.f == nil {
+			return publish(c.out, j.hash, hitCache), nil
+		}
+		var out outcome
+		var err error
+		if c.state == hitSolved {
+			out, err = c.f.Wait(ctx)
+		} else {
+			cw := sp.Child("coalesce")
+			out, err = c.f.Wait(ctx)
+			cw.End()
+			if errors.Is(err, ErrInternalPanic) && attempt < maxPanicRetries {
+				c = h.claim(j, sp, true)
+				continue
+			}
+		}
+		if err != nil {
+			return Outcome{Hash: j.hash}, err
+		}
+		return publish(out, j.hash, c.state), nil
+	}
+}
+
+// lead runs one led flight detached from every requester's context, under
+// the handle's own compute budget. Queue-full is decided immediately
+// (admit rejects without blocking when the bound is exceeded), so a
+// rejected flight resolves at once.
+func (h *Handle) lead(f *flight, sp obs.SpanRef) {
+	// Registered before Fulfill's work so it runs after it: when the drain
+	// WaitGroup clears, every flight's outcome is committed to the cache.
+	defer h.flightWG.Done()
+	ctx, cancel := context.WithTimeout(context.Background(), h.cfg.MaxTimeout)
+	defer cancel()
+	h.fly(ctx, f, sp)
+}
+
+// leadBatch runs a batch's led flights on one Workers-wide core.Batch
+// pool under the handle's compute budget. Each flight is fulfilled (and
+// the cache filled) the moment its own result lands — a waiter coalesced
+// onto problem #1 must not stall behind problem #100 — and admits itself:
+// the pool's goroutines queue on the shared worker slots, they do not
+// multiply them.
+func (h *Handle) leadBatch(claims []claimed, leads []int, sp obs.SpanRef) {
+	// One WaitGroup registration per led flight (claimFlight); all of them
+	// resolve — including the leftover loop below — before this returns.
+	defer func() {
+		for range leads {
+			h.flightWG.Done()
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), h.cfg.MaxTimeout)
+	defer cancel()
+	// The hook reads each flight's job; the requests only size the pool.
+	batch := core.Batch{Workers: h.cfg.Workers}
+	results := batch.SolveFunc(ctx, make([]core.Request, len(leads)), func(ctx context.Context, k int, _ core.Request) (*schedule.Schedule, error) {
+		h.fly(ctx, claims[leads[k]].f, sp)
+		return nil, nil // the flight carries the outcome
+	})
+	// SolveFunc fails requests fast without running the hook once its
+	// context expires; their flights must still resolve or waiters would
+	// hang until their own deadlines.
+	for k, i := range leads {
+		if err := results[k].Err; err != nil {
+			f := claims[i].f
+			h.flights.Fulfill(f.job.hash, f, outcome{}, err)
+		}
+	}
+}
+
+// fly computes a led flight's job under a "flight" span and fulfills it.
+// The flight runs detached from the requester's context, but its spans
+// belong to the leading requester's trace: an abandoned flight keeps
+// writing to the trace after Finish — recorded, never raced (obs.Trace is
+// mutex'd).
+func (h *Handle) fly(ctx context.Context, f *flight, sp obs.SpanRef) {
+	fs := sp.Child("flight")
+	if fs.Active() {
+		fs.SetArg("hash", f.job.hash[:12])
+	}
+	out, err := h.resolve(obs.ContextWith(ctx, fs), &f.job)
+	fs.End()
+	h.flights.Fulfill(f.job.hash, f, out, err)
+}
+
+// resolve is a led flight's body behind the panic isolation boundary: a
+// panic anywhere below (solver fault or injected) unwinds the admission
+// defers and becomes an ErrInternalPanic error for the flight's waiters
+// instead of reaching the detached goroutine's top, where it would kill
+// the process, not a request. It re-checks the cache first — a previous
+// flight may have fulfilled and vanished between this job's cache miss and
+// its claim, and recomputing an already-cached key would break the "equal
+// hashes compute once" invariant — then admits, computes, folds typed
+// infeasibility into the outcome (a result, not a failure), renders, and
+// fills the cache.
+func (h *Handle) resolve(ctx context.Context, j *job) (out outcome, err error) {
+	defer h.recoverFault(&err)
+	if out, ok := h.cache.Get(j.hash); ok {
+		return out, nil
+	}
+	release, err := h.admit(ctx)
+	if err != nil {
+		return outcome{}, err
+	}
+	defer release()
+	if err := h.injectFlightFaults(ctx); err != nil {
+		return outcome{}, err
+	}
+	// Replans count as solver invocations too: the coalescing and caching
+	// invariants are asserted against solveCalls.
+	h.m.solveCalls.Add(1)
+	sp := obs.FromContext(ctx)
+	ss := sp.Child("solve")
+	if ss.Active() && j.isReplan {
+		ss.SetArg("kind", "replan")
+	}
+	sched, stats, err := h.run(obs.ContextWith(ctx, ss), j)
+	ss.End()
+	if err != nil {
+		out, err = foldInfeasible(err)
+	} else {
+		rs := sp.Child("render")
+		out, err = renderOutcome(sched)
+		rs.End()
+		out.replan = stats
+	}
+	if err == nil {
+		h.cache.Put(j.hash, out)
+	}
+	return out, err
+}
+
+// foldInfeasible converts an infeasibility error into a cacheable outcome;
+// any other error propagates.
+func foldInfeasible(err error) (outcome, error) {
+	var ie *infeas.Error
+	if errors.As(err, &ie) {
+		return outcome{infeas: ie}, nil
+	}
+	if errors.Is(err, infeas.ErrInfeasible) {
+		return outcome{infeas: infeas.New(infeas.ReasonUnknown, 0, err.Error())}, nil
+	}
+	return outcome{}, err
+}
+
+// renderOutcome serializes the schedule once, at solve time; cache hits
+// reuse the rendered bytes instead of re-marshalling the schedule struct.
+func renderOutcome(sched *schedule.Schedule) (outcome, error) {
+	raw, err := json.Marshal(sched)
+	if err != nil {
+		return outcome{}, fmt.Errorf("service: encoding schedule: %w", err)
+	}
+	return outcome{sched: sched, schedJSON: raw, summary: summarize(sched)}, nil
+}
+
+// run performs the job's underlying computation: the solve, or the replan
+// with its repair statistics.
+func (h *Handle) run(ctx context.Context, j *job) (*schedule.Schedule, *core.RepairStats, error) {
+	if !j.isReplan {
+		sched, err := h.solve(ctx, j.solve.Solver, j.solve.Graph, j.solve.Platform)
+		return sched, nil, err
+	}
+	rp := &j.replan
+	res, err := h.replan(ctx, rp.Solver, rp.Old, rp.Delta,
+		core.WithRepairBudget(rp.RepairBudget), core.WithColdFallback(!rp.NoColdFallback))
+	if err != nil {
+		return nil, nil, err
+	}
+	stats := res.Stats
+	return res.Schedule, &stats, nil
+}
+
+// admit acquires one work unit under an "admission" span: a place within
+// the Workers+QueueLimit bound, then a worker slot. It returns the release
+// function, ErrQueueFull when the bound is exceeded, or ctx.Err() if the
+// deadline expires while queued.
 func (h *Handle) admit(ctx context.Context) (release func(), err error) {
+	as := obs.FromContext(ctx).Child("admission")
+	defer as.End()
 	if faultinject.Fire(SiteAdmitReject) {
 		h.m.rejected.Add(1)
 		return nil, ErrQueueFull
@@ -356,301 +679,5 @@ func (h *Handle) admit(ctx context.Context) (release func(), err error) {
 	case <-ctx.Done():
 		h.m.pending.Add(-1)
 		return nil, ctx.Err()
-	}
-}
-
-// hitState records how an outcome was obtained.
-type hitState int
-
-const (
-	hitSolved hitState = iota
-	hitCache
-	hitCoalesced
-)
-
-// solveProblem resolves one problem through cache → coalescing → admission
-// → solver. Every returned outcome has exactly one of sched/infeas set;
-// err covers everything else (queue full, deadline, draining, solver
-// fault). The caller waits under its own ctx; the underlying computation
-// runs detached (see the file header). A follower whose leader's flight
-// panicked re-enters the pipeline — the panic is the leader's failure, not
-// the problem's — bounded by maxPanicRetries so a deterministically
-// panicking computation still surfaces.
-func (h *Handle) solveProblem(ctx context.Context, g *dag.Graph, p *platform.Platform, sv *core.Solver) (outcome, string, hitState, error) {
-	sp := obs.FromContext(ctx)
-	hs := sp.Child("hash")
-	hash := ProblemHash(g, p, sv)
-	hs.End()
-	for attempt := 0; ; attempt++ {
-		cs := sp.Child("cache")
-		out, ok := h.cache.Get(hash)
-		cs.End()
-		if ok {
-			h.m.cacheHits.Add(1)
-			return out, hash, hitCache, nil
-		}
-		f, leader, err := h.claimFlight(hash)
-		if err != nil {
-			return outcome{}, hash, hitSolved, err
-		}
-		if leader {
-			h.m.cacheMisses.Add(1)
-			go h.runFlight(hash, f, g, p, sv, sp)
-			out, err := f.Wait(ctx)
-			return out, hash, hitSolved, err
-		}
-		h.m.coalesced.Add(1)
-		cw := sp.Child("coalesce")
-		out, err = f.Wait(ctx)
-		cw.End()
-		if errors.Is(err, ErrInternalPanic) && attempt < maxPanicRetries {
-			continue
-		}
-		return out, hash, hitCoalesced, err
-	}
-}
-
-// replanProblem is solveProblem for a replan request, keyed by the
-// precomputed replan hash.
-func (h *Handle) replanProblem(ctx context.Context, hash string, sp ReplanSpec) (outcome, hitState, error) {
-	tsp := obs.FromContext(ctx)
-	for attempt := 0; ; attempt++ {
-		cs := tsp.Child("cache")
-		out, ok := h.cache.Get(hash)
-		cs.End()
-		if ok {
-			h.m.cacheHits.Add(1)
-			return out, hitCache, nil
-		}
-		f, leader, err := h.claimFlight(hash)
-		if err != nil {
-			return outcome{}, hitSolved, err
-		}
-		if leader {
-			h.m.cacheMisses.Add(1)
-			go h.runReplanFlight(hash, f, sp, tsp)
-			out, err := f.Wait(ctx)
-			return out, hitSolved, err
-		}
-		h.m.coalesced.Add(1)
-		cw := tsp.Child("coalesce")
-		out, err = f.Wait(ctx)
-		cw.End()
-		if errors.Is(err, ErrInternalPanic) && attempt < maxPanicRetries {
-			continue
-		}
-		return out, hitCoalesced, err
-	}
-}
-
-// runFlight executes one claimed flight — admission, solve, cache fill,
-// fulfillment — under the handle's own compute budget, independent of any
-// requester's context. Queue-full is decided immediately (admit rejects
-// without blocking when the bound is exceeded), so a rejected flight
-// resolves at once.
-func (h *Handle) runFlight(hash string, f *flight, g *dag.Graph, p *platform.Platform, sv *core.Solver, tsp obs.SpanRef) {
-	// Registered before Fulfill's work so it runs after it: when the drain
-	// WaitGroup clears, every flight's outcome is committed to the cache.
-	defer h.flightWG.Done()
-	ctx, cancel := context.WithTimeout(context.Background(), h.cfg.MaxTimeout)
-	defer cancel()
-	// The flight runs detached from the requester's context, but its spans
-	// belong to the leading requester's trace: re-inject the span into the
-	// detached context. An abandoned flight keeps writing to the trace
-	// after Finish — recorded, never raced (obs.Trace is mutex'd).
-	fs := tsp.Child("flight")
-	ctx = obs.ContextWith(ctx, fs)
-	out, err := h.computeFlightSafe(ctx, hash, g, p, sv)
-	fs.End()
-	h.flights.Fulfill(hash, f, out, err)
-}
-
-// runReplanFlight is runFlight for a replan flight.
-func (h *Handle) runReplanFlight(hash string, f *flight, sp ReplanSpec, tsp obs.SpanRef) {
-	defer h.flightWG.Done()
-	ctx, cancel := context.WithTimeout(context.Background(), h.cfg.MaxTimeout)
-	defer cancel()
-	fs := tsp.Child("flight")
-	ctx = obs.ContextWith(ctx, fs)
-	out, err := h.computeReplanFlightSafe(ctx, hash, sp)
-	fs.End()
-	h.flights.Fulfill(hash, f, out, err)
-}
-
-// computeFlightSafe is computeFlight behind the panic isolation boundary:
-// a panic anywhere below (solver fault or injected) unwinds the admission
-// defers, becomes an ErrInternalPanic error for the flight's waiters, and
-// never reaches the detached goroutine's top — where it would kill the
-// process, not a request.
-func (h *Handle) computeFlightSafe(ctx context.Context, hash string, g *dag.Graph, p *platform.Platform, sv *core.Solver) (out outcome, err error) {
-	defer h.recoverFault(&err)
-	return h.computeFlight(ctx, hash, g, p, sv)
-}
-
-// computeReplanFlightSafe is the panic isolation boundary of a replan
-// flight.
-func (h *Handle) computeReplanFlightSafe(ctx context.Context, hash string, sp ReplanSpec) (out outcome, err error) {
-	defer h.recoverFault(&err)
-	return h.computeReplanFlight(ctx, hash, sp)
-}
-
-// computeFlight resolves a led flight: one last cache check — a previous
-// flight may have fulfilled and vanished between this requester's cache
-// miss and its Claim, and re-solving an already-cached problem would break
-// the "equal hashes solve once" invariant — then an admission-bounded
-// solve whose result fills the cache.
-func (h *Handle) computeFlight(ctx context.Context, hash string, g *dag.Graph, p *platform.Platform, sv *core.Solver) (outcome, error) {
-	if out, ok := h.cache.Get(hash); ok {
-		return out, nil
-	}
-	out, err := h.solveAdmitted(ctx, g, p, sv)
-	if err == nil {
-		h.cache.Put(hash, out)
-	}
-	return out, err
-}
-
-// computeReplanFlight is computeFlight for a replan flight.
-func (h *Handle) computeReplanFlight(ctx context.Context, hash string, sp ReplanSpec) (outcome, error) {
-	if out, ok := h.cache.Get(hash); ok {
-		return out, nil
-	}
-	release, err := h.admitTraced(ctx)
-	if err != nil {
-		return outcome{}, err
-	}
-	defer release()
-	out, err := h.computeReplan(ctx, sp)
-	if err == nil {
-		h.cache.Put(hash, out)
-	}
-	return out, err
-}
-
-// admitTraced is admit wrapped in an "admission" span — the queue wait a
-// traced request sees.
-func (h *Handle) admitTraced(ctx context.Context) (release func(), err error) {
-	as := obs.FromContext(ctx).Child("admission")
-	release, err = h.admit(ctx)
-	as.End()
-	return release, err
-}
-
-// compute runs the underlying solver and folds typed infeasibility into
-// the outcome (it is a result, not a failure).
-func (h *Handle) compute(ctx context.Context, g *dag.Graph, p *platform.Platform, sv *core.Solver) (outcome, error) {
-	if err := h.injectFlightFaults(ctx); err != nil {
-		return outcome{}, err
-	}
-	h.m.solveCalls.Add(1)
-	sp := obs.FromContext(ctx)
-	ss := sp.Child("solve")
-	sched, err := h.solve(obs.ContextWith(ctx, ss), sv, g, p)
-	ss.End()
-	if err != nil {
-		return foldInfeasible(err)
-	}
-	rs := sp.Child("render")
-	out, err := renderOutcome(sched)
-	rs.End()
-	return out, err
-}
-
-// computeReplan runs the underlying replan and folds typed infeasibility.
-// It counts as a solver invocation: the coalescing and caching invariants
-// ("equal hashes compute once") are asserted against solveCalls.
-func (h *Handle) computeReplan(ctx context.Context, sp ReplanSpec) (outcome, error) {
-	if err := h.injectFlightFaults(ctx); err != nil {
-		return outcome{}, err
-	}
-	h.m.solveCalls.Add(1)
-	tsp := obs.FromContext(ctx)
-	ss := tsp.Child("solve")
-	if ss.Active() {
-		ss.SetArg("kind", "replan")
-	}
-	opts := []core.ReplanOption{core.WithRepairBudget(sp.RepairBudget), core.WithColdFallback(!sp.NoColdFallback)}
-	res, err := h.replan(obs.ContextWith(ctx, ss), sp.Solver, sp.Old, sp.Delta, opts...)
-	ss.End()
-	if err != nil {
-		return foldInfeasible(err)
-	}
-	rs := tsp.Child("render")
-	out, err := renderOutcome(res.Schedule)
-	rs.End()
-	if err != nil {
-		return outcome{}, err
-	}
-	stats := res.Stats
-	out.replan = &stats
-	return out, nil
-}
-
-// solveAdmitted is one admission-bounded solve: acquire a work unit, run
-// the solver, fold infeasibility, render.
-func (h *Handle) solveAdmitted(ctx context.Context, g *dag.Graph, p *platform.Platform, sv *core.Solver) (outcome, error) {
-	release, err := h.admitTraced(ctx)
-	if err != nil {
-		return outcome{}, err
-	}
-	defer release()
-	return h.compute(ctx, g, p, sv)
-}
-
-// batchItem tracks one problem of a batch through the pipeline.
-type batchItem struct {
-	g    *dag.Graph
-	p    *platform.Platform
-	sv   *core.Solver
-	hash string
-
-	out    outcome
-	state  hitState
-	err    error
-	flight *flight // non-nil: wait on a foreign in-flight solve
-	lead   *flight // non-nil: this batch owns the flight and must fulfill
-}
-
-// runBatchFlights executes a batch's led solves through core.Batch under
-// the handle's compute budget. Each problem's flight is fulfilled (and the
-// cache filled) inside the pool hook, the moment its own result lands —
-// a waiter coalesced onto problem #1 must not stall behind problem #100.
-// The hook admits every problem individually: the pool's goroutines queue
-// on the shared worker slots, they do not multiply them.
-func (h *Handle) runBatchFlights(leaders []int, items []batchItem, tsp obs.SpanRef) {
-	// One WaitGroup registration per led flight (claimFlight); all of them
-	// resolve — including the leftover loop below — before this returns.
-	defer func() {
-		for range leaders {
-			h.flightWG.Done()
-		}
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), h.cfg.MaxTimeout)
-	defer cancel()
-	reqs := make([]core.Request, len(leaders))
-	for k, i := range leaders {
-		reqs[k] = core.Request{Graph: items[i].g, Platform: items[i].p}
-	}
-	fulfilled := make([]bool, len(leaders)) // per-lane writes, no sharing
-	batch := core.Batch{Workers: h.cfg.Workers}
-	results := batch.SolveFunc(ctx, reqs, func(ctx context.Context, k int, _ core.Request) (*schedule.Schedule, error) {
-		it := &items[leaders[k]]
-		fs := tsp.Child("flight")
-		if fs.Active() {
-			fs.SetArg("hash", it.hash[:12])
-		}
-		out, err := h.computeFlightSafe(obs.ContextWith(ctx, fs), it.hash, it.g, it.p, it.sv)
-		fs.End()
-		h.flights.Fulfill(it.hash, it.lead, out, err)
-		fulfilled[k] = true
-		return nil, err // the flight already carries the outcome
-	})
-	// SolveFunc fails requests fast without running the hook once its
-	// context expires; their flights must still resolve or waiters would
-	// hang until their own deadlines.
-	for k, i := range leaders {
-		if !fulfilled[k] {
-			h.flights.Fulfill(items[i].hash, items[i].lead, outcome{}, results[k].Err)
-		}
 	}
 }

@@ -14,14 +14,14 @@ package service
 // ready: steady state; /readyz reports 200.
 //
 // draining: SIGTERM (or an embedder's Drain call). Admission stops —
-// Solve/SolveBatch/Replan and the HTTP handlers reject new work with
-// ErrDraining (503 + Retry-After) — in-flight flights run to completion
-// under ctx (the daemon passes its MaxTimeout), and the cache is spilled
-// only after the last flight has committed, so a drain under load loses
-// zero committed entries. The flight WaitGroup and the drainMu write lock
-// make the handoff airtight: a flight is registered under the read lock
-// before it starts, so every flight either observes draining and is
-// rejected, or is registered and therefore waited for.
+// Solve/SolveBatch/Replan/Simulate and the HTTP handlers reject new work
+// with ErrDraining (503 + Retry-After) — in-flight flights run to
+// completion under ctx (the daemon passes its MaxTimeout), and the cache
+// is spilled only after the last flight has committed, so a drain under
+// load loses zero committed entries. The flight WaitGroup and the drainMu
+// write lock make the handoff airtight: a flight is registered under the
+// read lock before it starts, so every flight either observes draining
+// and is rejected, or is registered and therefore waited for.
 
 import (
 	"context"
@@ -168,7 +168,7 @@ func (h *Handle) drain(ctx context.Context) (rep DrainReport) {
 // the drain WaitGroup under the drain read lock — the pairing that lets
 // Drain wait for exactly the flights that were admitted. The caller that
 // receives leader=true MUST start a goroutine whose completion calls
-// h.flightWG.Done (runFlight and runBatchFlights do).
+// h.flightWG.Done (lead and leadBatch do).
 func (h *Handle) claimFlight(hash string) (f *flight, leader bool, err error) {
 	h.drainMu.RLock()
 	defer h.drainMu.RUnlock()

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"testing"
 
+	"streamsched/internal/faultinject"
 	"streamsched/internal/obs"
 )
 
@@ -177,6 +178,43 @@ func TestTracedSolveEndToEnd(t *testing.T) {
 			t.Errorf("prometheus scrape missing %q", want)
 		}
 	}
+
+	// Every endpoint runs the one job path, so a cold replan, batch and
+	// simulate trace the same pipeline stages as the cold solve.
+	base := feasibleRequest(5)
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/replan", replanRequest(t, 3, PlatformDelta{})},
+		{"/v1/batch", BatchRequest{Options: base.Options, Problems: []BatchProblem{{Graph: base.Graph, Platform: base.Platform}}}},
+		{"/v1/simulate", SimulateRequest{Graph: feasibleRequest(6).Graph, Platform: base.Platform, Options: base.Options}},
+	} {
+		resp, data := postJSON(t, ts.Client(), ts.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d (%s)", tc.path, resp.StatusCode, data)
+		}
+		id := resp.Header.Get("X-Trace-Id")
+		getJSON(t, ts, "/debug/traces", &doc)
+		var tr *obs.TraceJSON
+		for i := range doc.Traces {
+			if doc.Traces[i].ID == id {
+				tr = &doc.Traces[i]
+			}
+		}
+		if tr == nil {
+			t.Fatalf("%s: trace %s not in the ring", tc.path, id)
+		}
+		names := make(map[string]int)
+		for _, sp := range tr.Spans {
+			names[sp.Name]++
+		}
+		for _, want := range []string{"decode", "hash", "cache", "flight", "admission", "solve", "render"} {
+			if names[want] == 0 {
+				t.Errorf("%s trace missing span %q (have %v)", tc.path, want, names)
+			}
+		}
+	}
 }
 
 func TestTracingDisabledIsInvisible(t *testing.T) {
@@ -226,6 +264,23 @@ func TestRequestLogEntries(t *testing.T) {
 	}
 	if e2 := entries[1]; e2.Status != http.StatusConflict || e2.Outcome != "infeasible" {
 		t.Fatalf("infeasible log entry %+v", e2)
+	}
+
+	// A simulate whose solve succeeds but whose sweep admission is refused
+	// failed: it logs its 429 as an error, not as simulated.
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	faultinject.Enable(SiteAdmitReject, faultinject.Nth(2))
+	base := feasibleRequest(5)
+	resp3, data := postJSON(t, ts.Client(), ts.URL+"/v1/simulate", SimulateRequest{Graph: base.Graph, Platform: base.Platform, Options: base.Options})
+	if resp3.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("simulate with a refused sweep: HTTP %d (%s)", resp3.StatusCode, data)
+	}
+	if len(entries) != 3 {
+		t.Fatalf("%d log entries, want 3", len(entries))
+	}
+	if e3 := entries[2]; e3.Path != "/v1/simulate" || e3.Status != http.StatusTooManyRequests || e3.Outcome != "error" || e3.Hash == "" {
+		t.Fatalf("refused simulate log entry %+v", e3)
 	}
 }
 

@@ -31,10 +31,10 @@ package service
 //
 // The in-memory *schedule.Schedule does not survive the spill (it would
 // drag the whole graph/platform object graph into the file); a replayed
-// entry carries only the rendered bytes. /v1/solve and /v1/replan serve
-// those bytes directly; /v1/simulate rebuilds the schedule from them
-// against the request's decoded graph and platform when it needs the
-// in-memory form (see handleSimulate).
+// entry carries only the rendered bytes. Solve and Replan serve those
+// bytes directly; Simulate rebuilds the schedule from them against the
+// request's decoded graph and platform when it needs the in-memory form
+// (see Handle.Simulate).
 
 import (
 	"bytes"

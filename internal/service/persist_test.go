@@ -10,6 +10,8 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/crc32"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"streamsched/internal/core"
@@ -206,6 +208,59 @@ func TestSnapshotReplayPreservesLRUOrder(t *testing.T) {
 // FuzzSnapshotDecode pins the replay contract on arbitrary bytes: the
 // decoder never panics, never fabricates oversized allocations, and an
 // intact prefix of a real snapshot decodes to real entries.
+// TestSimulateAfterSnapshotRestore covers the one outcome that carries no
+// in-memory schedule: a snapshot keeps only the rendered bytes, so a
+// warm-started handle's Simulate rebuilds the schedule from them. The
+// sweep must match the original handle's, with no solver call.
+func TestSimulateAfterSnapshotRestore(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "cache.snap")
+	cfg := Config{SnapshotPath: snap, SnapshotInterval: -1}
+	scenarios := []Scenario{
+		{Name: "free"},
+		{Name: "sync", Synchronous: true},
+		{Name: "crash", CrashProcs: []int{0}, CrashAt: 5},
+	}
+	ctx := context.Background()
+
+	h1 := NewHandle(cfg)
+	if _, _, err := h1.WarmStart(); err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := h1.Simulate(ctx, solveSpec(t, feasibleRequest(2)), scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h1.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+
+	h2 := NewHandle(cfg)
+	if replayed, _, err := h2.WarmStart(); err != nil || replayed != 1 {
+		t.Fatalf("warm start replayed %d entries (%v), want 1", replayed, err)
+	}
+	spec := solveSpec(t, feasibleRequest(2))
+	out, got, err := h2.Simulate(ctx, spec, scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Cached || out.Schedule != nil {
+		t.Fatalf("restored outcome cached=%v schedule=%v: want a cache hit carrying bytes only", out.Cached, out.Schedule != nil)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored sweep %+v, want %+v", got, want)
+	}
+	if m := h2.Metrics(); m.SolveCalls != 0 {
+		t.Fatalf("solveCalls = %d, want 0", m.SolveCalls)
+	}
+
+	// An out-of-range crash processor is an error, not an engine panic.
+	for _, u := range []int{-1, 4, 99} {
+		if _, _, err := h2.Simulate(ctx, spec, []Scenario{{CrashProcs: []int{u}}}); err == nil {
+			t.Errorf("crash processor %d: no error", u)
+		}
+	}
+}
+
 func FuzzSnapshotDecode(f *testing.F) {
 	h := NewHandle(Config{})
 	req := feasibleRequest(2)

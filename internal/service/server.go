@@ -14,7 +14,9 @@ package service
 // rejected immediately with 429 and a Retry-After hint — the client, not
 // the server, owns the retry budget. Cache hits and coalesced followers
 // bypass admission entirely: they consume no solver capacity, so
-// rejecting them would only waste work already done. Per-request
+// rejecting them would only waste work already done. A batch whose every
+// problem meets the same refusal (queue full, or draining) is answered as
+// one refused request. Per-request
 // deadlines (TimeoutMs, clamped to MaxTimeout, default
 // Config.DefaultTimeout) bound the requester's wait including queueing;
 // an expired deadline surfaces as 504.
@@ -30,11 +32,9 @@ import (
 
 	"streamsched/internal/core"
 	"streamsched/internal/dag"
-	"streamsched/internal/infeas"
 	"streamsched/internal/obs"
 	"streamsched/internal/platform"
 	"streamsched/internal/schedule"
-	"streamsched/internal/sim"
 )
 
 // Config parameterizes a Handle (and therefore a Server). The zero value
@@ -42,12 +42,9 @@ import (
 type Config struct {
 	// Workers bounds the concurrently executing work units (≤0 → GOMAXPROCS).
 	Workers int
-	// QueueLimit bounds the admitted-but-waiting work units (<0 → 0,
-	// 0 → 4×Workers... see withDefaults; use NoQueue for a hard 0).
+	// QueueLimit bounds the admitted-but-waiting work units (0 → 4×Workers;
+	// <0 → none: beyond Workers executing units, work is rejected at once).
 	QueueLimit int
-	// NoQueue disables waiting entirely: beyond Workers executing units,
-	// requests are rejected immediately.
-	NoQueue bool
 	// CacheEntries bounds the LRU result cache (≤0 → 1024).
 	CacheEntries int
 	// DefaultTimeout is the per-request deadline when the request does not
@@ -96,7 +93,7 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.NoQueue || c.QueueLimit < 0 {
+	if c.QueueLimit < 0 {
 		c.QueueLimit = 0
 	} else if c.QueueLimit == 0 {
 		c.QueueLimit = 4 * c.Workers
@@ -143,9 +140,9 @@ func New(cfg Config) *Server {
 
 // Handler returns the service's HTTP routing table, wrapped in the
 // last-resort panic recovery middleware: a panic that escapes a handler
-// goroutine (as opposed to a detached flight, which computeFlightSafe
-// isolates) becomes a 500 with the stable "internal-panic" token instead
-// of net/http's connection reset.
+// goroutine (as opposed to a detached flight, which the job path's
+// recoverFault isolates) becomes a 500 with the stable "internal-panic"
+// token instead of net/http's connection reset.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/solve", s.handleSolve)
@@ -170,37 +167,11 @@ func (s *Server) recoverMiddleware(next http.Handler) http.Handler {
 		defer func() {
 			if rec := recover(); rec != nil {
 				s.m.panics.Add(1)
-				s.writeJSON(w, http.StatusInternalServerError, SolveResponse{
-					SchemaVersion: Version,
-					Error:         fmt.Sprintf("%v: %v", ErrInternalPanic, rec),
-				})
+				s.writeError(w, http.StatusInternalServerError, fmt.Errorf("%w: %v", ErrInternalPanic, rec))
 			}
 		}()
 		next.ServeHTTP(w, r)
 	})
-}
-
-// foldInfeasible converts an infeasibility error into a cacheable outcome;
-// any other error propagates.
-func foldInfeasible(err error) (outcome, error) {
-	var ie *infeas.Error
-	if errors.As(err, &ie) {
-		return outcome{infeas: ie}, nil
-	}
-	if errors.Is(err, infeas.ErrInfeasible) {
-		return outcome{infeas: infeas.New(infeas.ReasonUnknown, 0, err.Error())}, nil
-	}
-	return outcome{}, err
-}
-
-// renderOutcome serializes the schedule once, at solve time; cache hits
-// reuse the rendered bytes instead of re-marshalling the schedule struct.
-func renderOutcome(sched *schedule.Schedule) (outcome, error) {
-	raw, err := json.Marshal(sched)
-	if err != nil {
-		return outcome{}, fmt.Errorf("service: encoding schedule: %w", err)
-	}
-	return outcome{sched: sched, schedJSON: raw, summary: summarize(sched)}, nil
 }
 
 // requestContext applies the per-request deadline, clamped to MaxTimeout.
@@ -257,33 +228,16 @@ func errorStatus(err error) int {
 // cancelled"; no standard constant exists.
 const statusClientClosedRequest = 499
 
-// writeError renders a pipeline error in a SolveResponse envelope,
-// attaching Retry-After to 429s.
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	s.writeJSON(w, s.errorHeaders(w, err), SolveResponse{SchemaVersion: Version, Error: err.Error()})
-}
-
-// writeBatchError is writeError in the BatchResponse envelope, so batch
-// clients decode every /v1/batch body into one documented type.
-func (s *Server) writeBatchError(w http.ResponseWriter, err error) {
-	s.writeJSON(w, s.errorHeaders(w, err), BatchResponse{SchemaVersion: Version, Error: err.Error()})
-}
-
-// writeReplanError is writeError in the ReplanResponse envelope.
-func (s *Server) writeReplanError(w http.ResponseWriter, err error) {
-	s.writeJSON(w, s.errorHeaders(w, err), ReplanResponse{SchemaVersion: Version, Error: err.Error()})
-}
-
-// errorHeaders maps the error to its status and sets error-specific
-// headers on the way.
-func (s *Server) errorHeaders(w http.ResponseWriter, err error) int {
-	status := errorStatus(err)
-	// 429 (queue full) and 503 (draining) both mean "come back later";
-	// Retry-After carries the hint either way.
+// writeError renders the error envelope every endpoint shares. Each
+// endpoint's response DTO omits every field but schemaVersion when only
+// Error is set, so one SolveResponse renders the bytes of all of them:
+// {"schemaVersion":1,"error":…}. 429 (queue full) and 503 (draining) both
+// mean "come back later"; Retry-After carries the hint either way.
+func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds(s.cfg.RetryAfter)))
 	}
-	return status
+	s.writeJSON(w, status, SolveResponse{SchemaVersion: Version, Error: err.Error()})
 }
 
 func retryAfterSeconds(d time.Duration) int {
@@ -294,10 +248,9 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
-// decodeRequest parses the body into dst, enforcing method and size; the
-// caller checks the decoded schema version with checkSchemaVersion. It
-// reports (status, error) on failure, (0, nil) on success.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, dst any) (int, error) {
+// decodeRequest parses the body into dst, enforcing method, size and the
+// schema version. On failure it reports the status to answer with.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, dst versioned) (int, error) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		return http.StatusMethodNotAllowed, fmt.Errorf("service: %s requires POST", r.URL.Path)
@@ -311,7 +264,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, dst any) 
 		}
 		return http.StatusBadRequest, fmt.Errorf("service: invalid JSON: %w", err)
 	}
-	return 0, nil
+	return http.StatusBadRequest, checkSchemaVersion(dst.schemaVersion())
 }
 
 // buildProblem decodes one (graph, platform, options) triple.
@@ -341,20 +294,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	sp := obs.FromContext(r.Context())
 	ds := sp.Child("decode")
 	var req SolveRequest
-	if status, err := s.decodeRequest(w, r, &req); status != 0 {
+	if status, err := s.decodeRequest(w, r, &req); err != nil {
 		ds.End()
-		s.writeJSON(w, status, SolveResponse{SchemaVersion: Version, Error: err.Error()})
-		return
-	}
-	if err := checkSchemaVersion(req.SchemaVersion); err != nil {
-		ds.End()
-		s.writeJSON(w, http.StatusBadRequest, SolveResponse{SchemaVersion: Version, Error: err.Error()})
+		s.writeError(w, status, err)
 		return
 	}
 	g, p, sv, err := buildProblem(req.Graph, req.Platform, req.Options)
 	ds.End()
 	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, SolveResponse{SchemaVersion: Version, Error: err.Error()})
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
@@ -363,12 +311,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	out, err := s.Handle.Solve(ctx, Spec{Graph: g, Platform: p, Solver: sv})
 	if err != nil {
 		setTraceOutcome(sp, out.Hash, "error")
-		s.writeError(w, err)
+		s.writeError(w, errorStatus(err), err)
 		return
 	}
 	setTraceOutcome(sp, out.Hash, outcomeLabel(out))
 	rs := sp.Child("render")
-	s.writeJSON(w, solveStatus(out), solveResponse(out))
+	s.writeJSON(w, outcomeStatus(out), solveResponse(out))
 	rs.End()
 }
 
@@ -401,25 +349,23 @@ func outcomeLabel(out Outcome) string {
 	}
 }
 
-// solveResponse renders one Outcome in the SolveResponse envelope.
+// solveResponse renders one Outcome in the SolveResponse envelope. An
+// infeasible outcome has no schedule or summary, so only its Infeasible
+// renders.
 func solveResponse(out Outcome) SolveResponse {
-	resp := SolveResponse{
+	return SolveResponse{
 		SchemaVersion: Version,
 		Hash:          out.Hash,
 		Cached:        out.Cached,
 		Coalesced:     out.Coalesced,
+		Schedule:      out.ScheduleJSON,
+		Summary:       out.Summary,
+		Infeasible:    out.Infeasible,
 	}
-	if out.Infeasible != nil {
-		resp.Infeasible = out.Infeasible
-		return resp
-	}
-	resp.Schedule = out.ScheduleJSON
-	resp.Summary = out.Summary
-	return resp
 }
 
-// solveStatus maps an Outcome to its HTTP status.
-func solveStatus(out Outcome) int {
+// outcomeStatus maps an Outcome to its HTTP status.
+func outcomeStatus(out Outcome) int {
 	if out.Infeasible != nil {
 		return http.StatusConflict
 	}
@@ -434,27 +380,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	sp := obs.FromContext(r.Context())
 	ds := sp.Child("decode")
 	var req BatchRequest
-	if status, err := s.decodeRequest(w, r, &req); status != 0 {
-		ds.End()
-		s.writeJSON(w, status, BatchResponse{SchemaVersion: Version, Error: err.Error()})
-		return
+	status, err := s.decodeRequest(w, r, &req)
+	if err == nil && len(req.Problems) == 0 {
+		err = errors.New("service: batch has no problems")
 	}
-	if err := checkSchemaVersion(req.SchemaVersion); err != nil {
+	if err != nil {
 		ds.End()
-		s.writeJSON(w, http.StatusBadRequest, BatchResponse{SchemaVersion: Version, Error: err.Error()})
-		return
-	}
-	if len(req.Problems) == 0 {
-		ds.End()
-		s.writeJSON(w, http.StatusBadRequest, BatchResponse{SchemaVersion: Version, Error: "service: batch has no problems"})
+		s.writeError(w, status, err)
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
 
-	// Decode every problem; undecodable ones get their error slot and the
-	// rest go through the in-process batch pipeline.
-	decodeErrs := make([]error, len(req.Problems))
+	// Decode every problem; undecodable ones keep their error and the rest
+	// go through the in-process batch pipeline.
+	results := make([]BatchResult, len(req.Problems))
 	specs := make([]Spec, 0, len(req.Problems))
 	specIdx := make([]int, 0, len(req.Problems))
 	for i, bp := range req.Problems {
@@ -464,7 +404,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		g, p, sv, err := buildProblem(bp.Graph, bp.Platform, opts)
 		if err != nil {
-			decodeErrs[i] = err
+			results[i].Err = err
 			continue
 		}
 		specs = append(specs, Spec{Graph: g, Platform: p, Solver: sv})
@@ -474,31 +414,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if sp.Active() {
 		sp.SetArg("problems", len(req.Problems))
 	}
-	batchResults := s.Handle.SolveBatch(ctx, specs)
-	results := make([]BatchResult, len(req.Problems))
-	for i, err := range decodeErrs {
-		if err != nil {
-			results[i] = BatchResult{Err: err}
-		}
-	}
-	for k, i := range specIdx {
-		results[i] = batchResults[k]
+	for k, res := range s.Handle.SolveBatch(ctx, specs) {
+		results[specIdx[k]] = res
 	}
 
-	// A batch whose every problem was rejected by admission is a rejected
-	// batch: surface the 429 (with Retry-After) rather than a 200 full of
-	// queue-full errors. Mixed outcomes keep the 200 envelope with
-	// per-problem errors — cached results must not be discarded.
-	allRejected := true
-	for i := range results {
-		if !errors.Is(results[i].Err, ErrQueueFull) {
-			allRejected = false
-			break
+	// A batch whose every problem met the same admission refusal — queue
+	// full or draining — was refused whole: answer it like any refused
+	// request (429 or 503, with Retry-After) rather than a 200 full of
+	// refusals. Mixed outcomes keep the 200 envelope with per-problem
+	// errors — cached results must not be discarded.
+	for _, refusal := range []error{ErrQueueFull, ErrDraining} {
+		all := true
+		for i := range results {
+			all = all && errors.Is(results[i].Err, refusal)
 		}
-	}
-	if allRejected && len(results) > 0 {
-		s.writeBatchError(w, ErrQueueFull)
-		return
+		if all {
+			s.writeError(w, errorStatus(refusal), refusal)
+			return
+		}
 	}
 
 	resp := BatchResponse{SchemaVersion: Version, Results: make([]SolveResponse, len(results))}
@@ -520,84 +453,69 @@ func (s *Server) handleReplan(w http.ResponseWriter, r *http.Request) {
 	sp := obs.FromContext(r.Context())
 	ds := sp.Child("decode")
 	var req ReplanRequest
-	if status, err := s.decodeRequest(w, r, &req); status != 0 {
+	if status, err := s.decodeRequest(w, r, &req); err != nil {
 		ds.End()
-		s.writeJSON(w, status, ReplanResponse{SchemaVersion: Version, Error: err.Error()})
+		s.writeError(w, status, err)
 		return
 	}
-	badRequest := func(err error) {
-		ds.End()
-		s.writeJSON(w, http.StatusBadRequest, ReplanResponse{SchemaVersion: Version, Error: err.Error()})
-	}
-	if err := checkSchemaVersion(req.SchemaVersion); err != nil {
-		badRequest(err)
-		return
-	}
-	g, p, sv, err := buildProblem(req.Graph, req.Platform, req.Options)
-	if err != nil {
-		badRequest(err)
-		return
-	}
-	if len(req.Schedule) == 0 {
-		badRequest(errors.New("service: replan requires the committed schedule"))
-		return
-	}
-	old, err := schedule.LoadJSON(req.Schedule, g, p)
-	if err != nil {
-		badRequest(fmt.Errorf("service: decoding schedule: %w", err))
-		return
-	}
-	// The committed schedule must agree with the solver options on the
-	// replication degree and the period; a mismatch is a client error, not
-	// a computation to admit.
-	if old.Eps != req.Options.Eps || old.Period != req.Options.Period {
-		badRequest(fmt.Errorf("service: options (eps=%d, period=%v) do not match the schedule (eps=%d, period=%v)",
-			req.Options.Eps, req.Options.Period, old.Eps, old.Period))
-		return
-	}
-	if req.RepairBudget < 0 {
-		badRequest(fmt.Errorf("service: negative repair budget %d", req.RepairBudget))
-		return
-	}
-	delta := req.Delta.Build()
-	if _, _, err := delta.Apply(p); err != nil {
-		badRequest(err)
-		return
-	}
+	spec, err := replanSpec(req)
 	ds.End()
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
 
-	out, err := s.Handle.Replan(ctx, ReplanSpec{
-		Old:            old,
-		Solver:         sv,
-		Delta:          delta,
-		RepairBudget:   req.RepairBudget,
-		NoColdFallback: req.NoColdFallback,
-	})
+	out, err := s.Handle.Replan(ctx, spec)
 	if err != nil {
 		setTraceOutcome(sp, out.Hash, "error")
-		s.writeReplanError(w, err)
+		s.writeError(w, errorStatus(err), err)
 		return
 	}
 	setTraceOutcome(sp, out.Hash, outcomeLabel(out))
-	resp := ReplanResponse{
+	rs := sp.Child("render")
+	s.writeJSON(w, outcomeStatus(out), ReplanResponse{
 		SchemaVersion: Version,
 		Hash:          out.Hash,
 		Cached:        out.Cached,
 		Coalesced:     out.Coalesced,
-	}
-	if out.Infeasible != nil {
-		resp.Infeasible = out.Infeasible
-		s.writeJSON(w, http.StatusConflict, resp)
-		return
-	}
-	resp.Schedule = out.ScheduleJSON
-	resp.Summary = out.Summary
-	resp.Replan = replanStatsDTO(out.Replan)
-	rs := sp.Child("render")
-	s.writeJSON(w, http.StatusOK, resp)
+		Schedule:      out.ScheduleJSON,
+		Summary:       out.Summary,
+		Replan:        replanStatsDTO(out.Replan),
+		Infeasible:    out.Infeasible,
+	})
 	rs.End()
+}
+
+// replanSpec decodes and pre-validates a replan request: everything wrong
+// with it is a client error (400), not a computation to admit.
+func replanSpec(req ReplanRequest) (ReplanSpec, error) {
+	g, p, sv, err := buildProblem(req.Graph, req.Platform, req.Options)
+	if err != nil {
+		return ReplanSpec{}, err
+	}
+	if len(req.Schedule) == 0 {
+		return ReplanSpec{}, errors.New("service: replan requires the committed schedule")
+	}
+	old, err := schedule.LoadJSON(req.Schedule, g, p)
+	if err != nil {
+		return ReplanSpec{}, fmt.Errorf("service: decoding schedule: %w", err)
+	}
+	// The committed schedule must agree with the solver options on the
+	// replication degree and the period.
+	if old.Eps != req.Options.Eps || old.Period != req.Options.Period {
+		return ReplanSpec{}, fmt.Errorf("service: options (eps=%d, period=%v) do not match the schedule (eps=%d, period=%v)",
+			req.Options.Eps, req.Options.Period, old.Eps, old.Period)
+	}
+	if req.RepairBudget < 0 {
+		return ReplanSpec{}, fmt.Errorf("service: negative repair budget %d", req.RepairBudget)
+	}
+	delta := req.Delta.Build()
+	if _, _, err := delta.Apply(p); err != nil {
+		return ReplanSpec{}, err
+	}
+	return ReplanSpec{Old: old, Solver: sv, Delta: delta, RepairBudget: req.RepairBudget, NoColdFallback: req.NoColdFallback}, nil
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -608,143 +526,45 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	sp := obs.FromContext(r.Context())
 	ds := sp.Child("decode")
 	var req SimulateRequest
-	if status, err := s.decodeRequest(w, r, &req); status != 0 {
+	if status, err := s.decodeRequest(w, r, &req); err != nil {
 		ds.End()
-		s.writeJSON(w, status, SimulateResponse{SchemaVersion: Version, Error: err.Error()})
-		return
-	}
-	if err := checkSchemaVersion(req.SchemaVersion); err != nil {
-		ds.End()
-		s.writeJSON(w, http.StatusBadRequest, SimulateResponse{SchemaVersion: Version, Error: err.Error()})
+		s.writeError(w, status, err)
 		return
 	}
 	g, p, sv, err := buildProblem(req.Graph, req.Platform, req.Options)
 	ds.End()
+	if err == nil {
+		// Handle.Simulate runs the same check; making it here keeps a bad
+		// crash processor a 400 on a draining or busy server too.
+		err = checkScenarios(req.Scenarios, p.NumProcs())
+	}
 	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, SimulateResponse{SchemaVersion: Version, Error: err.Error()})
+		s.writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	scenarios := req.Scenarios
-	if len(scenarios) == 0 {
-		scenarios = []Scenario{{}}
-	}
-	for _, sc := range scenarios {
-		for _, u := range sc.CrashProcs {
-			if u < 0 || u >= p.NumProcs() {
-				s.writeJSON(w, http.StatusBadRequest, SimulateResponse{
-					SchemaVersion: Version, Error: fmt.Sprintf("service: crash processor %d out of range [0,%d)", u, p.NumProcs()),
-				})
-				return
-			}
-		}
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
 
-	if s.Draining() {
-		s.writeError(w, ErrDraining)
-		return
-	}
-	// Solve through the shared cache/coalescing path (same hash space as
-	// /v1/solve), then run the sweep as its own admitted work unit. The
-	// two acquisitions are sequential, never nested, so a Workers=1 server
-	// cannot deadlock against its own solve.
-	out, hash, state, err := s.solveProblem(ctx, g, p, sv)
+	out, results, err := s.Handle.Simulate(ctx, Spec{Graph: g, Platform: p, Solver: sv}, req.Scenarios)
 	if err != nil {
-		setTraceOutcome(sp, hash, "error")
-		s.writeError(w, err)
+		setTraceOutcome(sp, out.Hash, "error")
+		s.writeError(w, errorStatus(err), err)
 		return
 	}
-	setTraceOutcome(sp, hash, "simulated")
-	resp := SimulateResponse{
+	label := "simulated"
+	if out.Infeasible != nil {
+		label = "infeasible"
+	}
+	setTraceOutcome(sp, out.Hash, label)
+	s.writeJSON(w, outcomeStatus(out), SimulateResponse{
 		SchemaVersion: Version,
-		Hash:          hash,
-		Cached:        state == hitCache,
-		Coalesced:     state == hitCoalesced,
-	}
-	if out.infeas != nil {
-		resp.Infeasible = out.infeas
-		s.writeJSON(w, http.StatusConflict, resp)
-		return
-	}
-	resp.Summary = out.summary
-
-	sched := out.sched
-	if sched == nil {
-		// The outcome was restored from a snapshot, which keeps only the
-		// rendered bytes (persist.go); rebuild the in-memory schedule from
-		// them against this request's decoded problem — an identical hash
-		// means an identical problem.
-		sched, err = schedule.LoadJSON(out.schedJSON, g, p)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-	}
-
-	release, err := s.admitTraced(ctx)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer release()
-
-	sim1 := sp.Child("simulate")
-	if sim1.Active() {
-		sim1.SetArg("scenarios", len(scenarios))
-	}
-	// One engine for the whole sweep: the derived schedule tables and the
-	// simulation state buffers are built once and reused per scenario.
-	eng, err := sim.NewEngine(sched)
-	if err != nil {
-		sim1.End()
-		s.writeError(w, err)
-		return
-	}
-	resp.Scenarios = make([]ScenarioResult, 0, len(scenarios))
-	for _, sc := range scenarios {
-		res, err := s.runScenario(ctx, eng, sched, sc)
-		if err != nil {
-			sim1.End()
-			s.writeError(w, err)
-			return
-		}
-		resp.Scenarios = append(resp.Scenarios, res)
-	}
-	sim1.End()
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// runScenario executes one scenario on the request's engine.
-func (s *Server) runScenario(ctx context.Context, eng *sim.Engine, sched *schedule.Schedule, sc Scenario) (ScenarioResult, error) {
-	cfg := sim.DefaultConfig(sched)
-	if sc.Items > 0 {
-		cfg.Items = sc.Items
-	}
-	if sc.Warmup > 0 {
-		cfg.Warmup = sc.Warmup
-	}
-	cfg.Synchronous = sc.Synchronous
-	if len(sc.CrashProcs) > 0 {
-		procs := make([]platform.ProcID, len(sc.CrashProcs))
-		for i, u := range sc.CrashProcs {
-			procs[i] = platform.ProcID(u)
-		}
-		cfg.Failures = sim.FailureSpec{Procs: procs, At: sc.CrashAt}
-	}
-	s.m.simRuns.Add(1)
-	res, err := eng.Run(ctx, cfg)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	return ScenarioResult{
-		Name:           sc.Name,
-		MeanLatency:    jsonFloat(res.MeanLatency),
-		MaxLatency:     jsonFloat(res.MaxLatency),
-		AchievedPeriod: jsonFloat(res.AchievedPeriod),
-		Delivered:      res.Delivered,
-		Items:          res.Items,
-	}, nil
+		Hash:          out.Hash,
+		Cached:        out.Cached,
+		Coalesced:     out.Coalesced,
+		Summary:       out.Summary,
+		Infeasible:    out.Infeasible,
+		Scenarios:     results,
+	})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

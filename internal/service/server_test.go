@@ -16,6 +16,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -204,7 +205,7 @@ func TestSolveCoalescingSolvesOnce(t *testing.T) {
 }
 
 func TestFullQueueRejectsWith429(t *testing.T) {
-	srv := New(Config{Workers: 1, NoQueue: true, RetryAfter: 3 * time.Second})
+	srv := New(Config{Workers: 1, QueueLimit: -1, RetryAfter: 3 * time.Second})
 	entered, release := gateSolves(srv)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -344,7 +345,7 @@ func TestBatchRespectsWorkerBound(t *testing.T) {
 // TestBatchAllRejectedReturns429 pins the envelope rule: when every
 // problem of a batch is rejected by admission, the batch is a 429.
 func TestBatchAllRejectedReturns429(t *testing.T) {
-	srv := New(Config{Workers: 1, NoQueue: true})
+	srv := New(Config{Workers: 1, QueueLimit: -1})
 	entered, release := gateSolves(srv)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -413,7 +414,8 @@ func TestLeaderRechecksCacheAfterClaim(t *testing.T) {
 	if !leader {
 		t.Fatal("flight unexpectedly in progress")
 	}
-	srv.runFlight(hash, f, g, p, sv, obs.SpanRef{})
+	f.job = job{hash: hash, solve: Spec{Graph: g, Platform: p, Solver: sv}}
+	srv.lead(f, obs.SpanRef{})
 	out, err := f.Wait(context.Background())
 	if err != nil || out.sched == nil {
 		t.Fatalf("flight did not resolve from cache: %v %+v", err, out)
@@ -632,6 +634,15 @@ func TestSimulateMatchesDirectEngineRuns(t *testing.T) {
 		if got.MeanLatency != nil && *got.MeanLatency != want.MeanLatency {
 			t.Errorf("%s: meanLatency %v, want %v", sc.Name, *got.MeanLatency, want.MeanLatency)
 		}
+	}
+
+	// The in-process API returns the very results the HTTP reply carried.
+	out, results, err := srv.Simulate(context.Background(), Spec{Graph: g, Platform: p, Solver: sv}, req.Scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Hash != sr.Hash || !out.Cached || !reflect.DeepEqual(results, sr.Scenarios) {
+		t.Fatalf("Handle.Simulate = %s cached=%v %+v, want the HTTP reply's %s %+v", out.Hash, out.Cached, results, sr.Hash, sr.Scenarios)
 	}
 
 	// The simulate solve shares the /v1/solve hash space: the same problem

@@ -51,6 +51,15 @@ func checkSchemaVersion(v int) error {
 	return nil
 }
 
+// versioned is a decoded request body; the HTTP adapter checks its schema
+// version with checkSchemaVersion.
+type versioned interface{ schemaVersion() int }
+
+func (r *SolveRequest) schemaVersion() int    { return r.SchemaVersion }
+func (r *BatchRequest) schemaVersion() int    { return r.SchemaVersion }
+func (r *ReplanRequest) schemaVersion() int   { return r.SchemaVersion }
+func (r *SimulateRequest) schemaVersion() int { return r.SchemaVersion }
+
 // Infeasible is the wire form of a classified infeasibility; it aliases
 // infeas.Error, whose JSON encoding is the wire contract (reason tokens,
 // optional locations).

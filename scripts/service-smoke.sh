@@ -320,7 +320,9 @@ grep -q '^streamsched_request_latency_ms{quantile="0.99"} ' "$workdir/metrics.pr
 	echo "FAIL: prometheus scrape missing latency quantiles" >&2
 	exit 1
 }
-curl -fsS -H 'Accept: text/plain' "$BASE/metrics" | grep -q '^streamsched_uptime_seconds ' || {
+# grep reads the whole scrape (no -q): quitting at the first match can cut
+# curl off mid-write, which pipefail reports as a failed scrape.
+curl -fsS -H 'Accept: text/plain' "$BASE/metrics" | grep '^streamsched_uptime_seconds ' >/dev/null || {
 	echo "FAIL: Accept: text/plain scrape did not select the prometheus form" >&2
 	exit 1
 }

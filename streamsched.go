@@ -383,9 +383,10 @@ type (
 	// §12).
 	ServiceRequestLog = service.RequestLogEntry
 
-	// ServiceHandle is the in-process service API: Solve, SolveBatch and
-	// Replan through the same caching, coalescing and backpressure pipeline
-	// as the HTTP surface, on in-memory types. Build with NewServiceHandle.
+	// ServiceHandle is the in-process service API: Solve, SolveBatch,
+	// Replan and Simulate through the same caching, coalescing and
+	// backpressure pipeline as the HTTP surface, on in-memory types. Build
+	// with NewServiceHandle.
 	ServiceHandle = service.Handle
 	// ServiceSpec is one in-process solve request.
 	ServiceSpec = service.Spec
