@@ -169,7 +169,7 @@ func BenchmarkLTF(b *testing.B) {
 // points: for each window size k, the construction cost (ns/op) plus the
 // resulting schedule's stage count and latency bound as custom metrics.
 // k=1 is the plain loop; k>1 scores per-window candidate strategies under
-// the chunk transaction and keeps the best. Part of the CI perf gate.
+// a window transaction and keeps the best. Part of the CI perf gate.
 func BenchmarkLTFLookahead(b *testing.B) {
 	for _, algo := range []string{"ltf", "rltf"} {
 		for _, k := range []int{1, 2, 4} {
@@ -311,47 +311,20 @@ func populateSystem(m, n int) *oneport.System {
 	for i := 0; i < n; i++ {
 		txn := s.Begin()
 		if r.Bool(0.4) {
-			txn.Compute(platform.ProcID(r.IntN(m)), r.Uniform(0.1, 2), r.Uniform(0, 50), "")
+			txn.Compute(platform.ProcID(r.IntN(m)), r.Uniform(0.1, 2), r.Uniform(0, 50))
 		} else {
 			txn.Transfer(platform.ProcID(r.IntN(m)), platform.ProcID(r.IntN(m)),
-				r.Uniform(1, 40), r.Uniform(0, 50), "")
+				r.Uniform(1, 40), r.Uniform(0, 50))
 		}
 		txn.Commit()
 	}
 	return s
 }
 
-// BenchmarkSnapshotRestore measures the pre-transactional rollback
-// strategy — capture all 3m timelines by deep copy (buffer-reused, as the
-// deleted oneport.SnapshotInto did), then restore by swap — which the
-// reverse-mode retry ladder used to pay per task. Kept as the recorded
-// contrast for BenchmarkTxnRollback: O(total reservations) per rollback
-// point, independent of how little actually changed.
-func BenchmarkSnapshotRestore(b *testing.B) {
-	const m = 20
-	s := populateSystem(m, 2000)
-	var live, snap []*timeline.Timeline
-	for u := 0; u < m; u++ {
-		pu := platform.ProcID(u)
-		live = append(live, s.Comp(pu).Clone(), s.Send(pu).Clone(), s.Recv(pu).Clone())
-	}
-	for range live {
-		snap = append(snap, &timeline.Timeline{})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j, tl := range live {
-			snap[j].CopyFrom(tl)
-		}
-		live, snap = snap, live // the RestoreSwap analogue
-	}
-}
-
-// BenchmarkTxnRollback measures the journaled replacement on the same
-// committed backdrop: one op takes a rollback mark, commits two replicas'
-// worth of reservations (two transfers and a compute each, the reverse-mode
-// retry shape), and rolls them back — O(changes), not O(total reservations).
+// BenchmarkTxnRollback measures a journaled rollback on a committed
+// backdrop: one op takes a rollback mark, commits two replicas' worth of
+// reservations (two transfers and a compute each, the reverse-mode retry
+// shape), and rolls them back — O(changes), not O(total reservations).
 func BenchmarkTxnRollback(b *testing.B) {
 	s := populateSystem(20, 2000)
 	b.ReportAllocs()
@@ -360,9 +333,9 @@ func BenchmarkTxnRollback(b *testing.B) {
 		mark := s.Mark()
 		for rep := 0; rep < 2; rep++ {
 			txn := s.Begin()
-			txn.Transfer(1, 5, 30, 10, "")
-			txn.Transfer(2, 5, 20, 15, "")
-			txn.Compute(5, 1.5, 20, "")
+			txn.Transfer(1, 5, 30, 10)
+			txn.Transfer(2, 5, 20, 15)
+			txn.Compute(5, 1.5, 20)
 			txn.Commit()
 		}
 		s.Rollback(mark)
@@ -371,9 +344,8 @@ func BenchmarkTxnRollback(b *testing.B) {
 
 // BenchmarkHeadsAvailCache measures the head-selection availability walk —
 // the earliest common send/recv gap per (source processor × target
-// processor), re-asked with identical arguments between commits — uncached
-// (the raw timeline walk singleCommFinish used to pay every time) and
-// through the system's per-port-pair cache.
+// processor), re-asked with identical arguments between commits — through
+// the system's per-port-pair cache.
 func BenchmarkHeadsAvailCache(b *testing.B) {
 	const m = 20
 	s := populateSystem(m, 2000)
@@ -392,14 +364,6 @@ func BenchmarkHeadsAvailCache(b *testing.B) {
 		}
 		return acc
 	}
-	b.Run("uncached", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sinkFloat = sweep(func(from, to platform.ProcID, ready, dur float64) float64 {
-				return timeline.EarliestCommonGap(ready, dur, s.Send(from), s.Recv(to))
-			})
-		}
-	})
 	b.Run("cached", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

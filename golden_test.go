@@ -37,6 +37,7 @@ type goldenCase struct {
 	p    *platform.Platform
 	eps  int
 	per  float64
+	look int // ltf/rltf Options.Lookahead; 0 is the plain loop
 }
 
 func goldenCases() []goldenCase {
@@ -48,7 +49,7 @@ func goldenCases() []goldenCase {
 		cfg := randgraph.DefaultStreamConfig()
 		cfg.MinTasks, cfg.MaxTasks = 30, 40
 		hg := randgraph.Stream(r, cfg, hp)
-		cases = append(cases, goldenCase{"het_stream", hg, hp, eps, 20 * float64(eps+1)})
+		cases = append(cases, goldenCase{"het_stream", hg, hp, eps, 20 * float64(eps+1), 0})
 
 		// Homogeneous platform, structured butterfly graph.
 		cases = append(cases, goldenCase{
@@ -57,7 +58,17 @@ func goldenCases() []goldenCase {
 			platform.Homogeneous(10, 1, 1),
 			eps,
 			15 * float64(eps+1),
+			0,
 		})
+	}
+	// Speculative lookahead windows (WithLookahead(k)) over the same
+	// instances: no other test pins k > 1 output byte for byte.
+	n := len(cases)
+	for _, k := range []int{2, 4} {
+		for _, tc := range cases[:n] {
+			tc.look = k
+			cases = append(cases, tc)
+		}
 	}
 	return cases
 }
@@ -69,13 +80,16 @@ func TestGoldenSchedules(t *testing.T) {
 			run  func() (*schedule.Schedule, error)
 		}{
 			{"ltf", func() (*schedule.Schedule, error) {
-				return ltf.Schedule(context.Background(), tc.g, tc.p, tc.eps, tc.per, ltf.Options{})
+				return ltf.Schedule(context.Background(), tc.g, tc.p, tc.eps, tc.per, ltf.Options{Lookahead: tc.look})
 			}},
 			{"rltf", func() (*schedule.Schedule, error) {
-				return rltf.Schedule(context.Background(), tc.g, tc.p, tc.eps, tc.per, rltf.Options{})
+				return rltf.Schedule(context.Background(), tc.g, tc.p, tc.eps, tc.per, rltf.Options{Lookahead: tc.look})
 			}},
 		} {
 			name := alg.name + "_" + tc.name + "_eps" + itoa(tc.eps)
+			if tc.look > 1 {
+				name += "_look" + itoa(tc.look)
+			}
 			t.Run(name, func(t *testing.T) {
 				s, err := alg.run()
 				if err != nil {

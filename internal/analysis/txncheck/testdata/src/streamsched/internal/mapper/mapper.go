@@ -1,11 +1,11 @@
-// Stub of the production mapper package for txncheck's BeginTask/
-// CommitTask/AbortTask tracking.
+// Stub of the production mapper package for txncheck's Begin/Commit/Abort
+// tracking.
 package mapper
 
-type State struct{ live bool }
+type State struct{ depth int }
 
-func (st *State) BeginTask(t int) { st.live = true }
+func (st *State) Begin(tasks ...int) { st.depth++ }
 
-func (st *State) CommitTask() { st.live = false }
+func (st *State) Commit() { st.depth-- }
 
-func (st *State) AbortTask() { st.live = false }
+func (st *State) Abort() { st.depth-- }

@@ -167,23 +167,52 @@ func beginInsideClosure(s *oneport.System) func() {
 	}
 }
 
-// --- mapper task transactions ---
+// --- mapper transactions ---
 
-func taskOK(st *mapper.State, ok bool) {
-	st.BeginTask(3)
+func mapperOK(st *mapper.State, ok bool) {
+	st.Begin(3)
 	if ok {
-		st.CommitTask()
+		st.Commit()
 	} else {
-		st.AbortTask()
+		st.Abort()
 	}
 }
 
-func taskLeak(st *mapper.State, bad bool) {
-	st.BeginTask(3) // want `task transaction begun here may not reach Commit or Abort`
+func mapperLeak(st *mapper.State, bad bool) {
+	st.Begin(3) // want `mapper transaction begun here may not reach Commit or Abort`
 	if bad {
 		return
 	}
-	st.CommitTask()
+	st.Commit()
+}
+
+// The reverse-mode lookahead shape: a window transaction per variant with
+// the per-task retry ladder nested inside it.
+func mapperNested(st *mapper.State, window []int) {
+	for v := 0; v < 2; v++ {
+		st.Begin(window...)
+		for _, t := range window {
+			st.Begin(t)
+			if t%2 == 0 {
+				st.Commit()
+				continue
+			}
+			st.Abort()
+		}
+		st.Abort()
+	}
+}
+
+func mapperNestedLeak(st *mapper.State, window []int, bad bool) {
+	st.Begin(window...) // want `mapper transaction begun here may not reach Commit or Abort`
+	for _, t := range window {
+		st.Begin(t) // want `mapper transaction begun here may not reach Commit or Abort`
+		if bad {
+			return
+		}
+		st.Commit()
+	}
+	st.Commit()
 }
 
 // --- suppression ---

@@ -1,12 +1,12 @@
 // Package txncheck verifies the transactional-timeline protocol
-// (DESIGN.md §4, §9). A oneport.System.Begin or mapper.State.BeginTask
-// opens a journaled transaction; the journal mark it takes is only
-// released by Commit or Abort (CommitTask/AbortTask), and a transaction
-// that escapes without resolution leaves the journal pinned — every later
-// Rollback replays its entries, and the LIFO discipline panics on the
-// next out-of-order resolve. Modeled on x/tools' lostcancel, the analyzer
-// checks, for every Begin site, that Commit or Abort is reached on all
-// paths out of the enclosing function:
+// (DESIGN.md §4, §9). A oneport.System.Begin or mapper.State.Begin opens a
+// journaled transaction; the journal mark it takes is only released by
+// Commit or Abort (Txn.Commit/Abort, State.Commit/Abort), and a
+// transaction that escapes without resolution leaves the journal pinned —
+// every later Rollback replays its entries, and the LIFO discipline panics
+// on the next out-of-order resolve. Modeled on x/tools' lostcancel, the
+// analyzer checks, for every Begin site, that Commit or Abort is reached on
+// all paths out of the enclosing function:
 //
 //   - discarding the Begin result (`sys.Begin()`, `_ = sys.Begin()`) is
 //     always a leak — nothing can ever resolve the transaction,
@@ -16,6 +16,13 @@
 //     returned, stored in a composite, passed by value, address taken —
 //     is flagged separately: a stale Txn copy can outlive its journal
 //     mark and resolve it twice.
+//
+// A mapper transaction has no value to track: any State.Commit or
+// State.Abort in the function resolves every mapper Begin site that
+// reaches it. Resolution is matched per call site, not per nesting depth,
+// so nested transactions in one function (a window transaction around a
+// per-task retry) are each checked for reaching some resolve; the LIFO
+// pairing itself is enforced at run time by the mapper's frame stack.
 //
 // The analysis is a structured abstract interpretation of the function
 // body (if/for/range/switch/select, labeled break/continue, fallthrough,
@@ -40,7 +47,7 @@ import (
 // Analyzer is the transaction-resolution checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "txncheck",
-	Doc:  "every oneport Begin / mapper BeginTask must reach Commit or Abort on all paths, and Txn values must not escape",
+	Doc:  "every oneport or mapper Begin must reach Commit or Abort on all paths, and Txn values must not escape",
 	Run:  run,
 }
 
@@ -91,12 +98,12 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 	}
 }
 
-// beginSite is one Begin/BeginTask call in a function scope.
+// beginSite is one oneport or mapper Begin call in a function scope.
 type beginSite struct {
-	call *ast.CallExpr
-	kind string     // "Begin" or "BeginTask"
-	obj  *types.Var // the Txn variable, nil for BeginTask or discarded results
-	bad  string     // non-empty: misuse report instead of path analysis
+	call   *ast.CallExpr
+	mapper bool       // a mapper.State.Begin (resolved by State.Commit/Abort)
+	obj    *types.Var // the Txn variable, nil for mapper sites or discarded results
+	bad    string     // non-empty: misuse report instead of path analysis
 }
 
 func collectBegins(pass *analysis.Pass, body *ast.BlockStmt) []beginSite {
@@ -110,8 +117,8 @@ func collectBegins(pass *analysis.Pass, body *ast.BlockStmt) []beginSite {
 		switch {
 		case analysis.IsMethod(fn, oneportPath, "System", "Begin"):
 			sites = append(sites, classifyBegin(pass, call, parents))
-		case analysis.IsMethod(fn, mapperPath, "State", "BeginTask"):
-			sites = append(sites, beginSite{call: call, kind: "BeginTask"})
+		case analysis.IsMethod(fn, mapperPath, "State", "Begin"):
+			sites = append(sites, beginSite{call: call, mapper: true})
 		}
 	})
 	return sites
@@ -120,7 +127,7 @@ func collectBegins(pass *analysis.Pass, body *ast.BlockStmt) []beginSite {
 // classifyBegin inspects how the Begin result is consumed: bound to a
 // local (tracked), discarded (always a leak) or anything else (escape).
 func classifyBegin(pass *analysis.Pass, call *ast.CallExpr, parents []ast.Node) beginSite {
-	site := beginSite{call: call, kind: "Begin"}
+	site := beginSite{call: call}
 	if len(parents) == 0 {
 		site.bad = "result of Begin discarded: nothing can Commit or Abort this transaction"
 		return site
@@ -167,8 +174,8 @@ func checkSite(pass *analysis.Pass, body *ast.BlockStmt, site beginSite) {
 	}
 	if in.leaked || f.fall&sOpen != 0 {
 		what := "transaction"
-		if site.kind == "BeginTask" {
-			what = "task transaction"
+		if site.mapper {
+			what = "mapper transaction"
 		}
 		pass.Reportf(site.call.Pos(),
 			"%s begun here may not reach Commit or Abort on every path out of the function",
@@ -536,16 +543,16 @@ func resolveMask(in mask) mask {
 }
 
 // isResolve reports whether call resolves this site's transaction:
-// Commit/Abort on the tracked Txn variable, or CommitTask/AbortTask for a
-// BeginTask site.
+// Commit/Abort on the tracked Txn variable, or State.Commit/Abort for a
+// mapper site.
 func (i *interp) isResolve(call *ast.CallExpr) bool {
 	fn := analysis.CalleeFunc(i.pass.TypesInfo, call)
 	if fn == nil {
 		return false
 	}
-	if i.site.kind == "BeginTask" {
-		return analysis.IsMethod(fn, mapperPath, "State", "CommitTask") ||
-			analysis.IsMethod(fn, mapperPath, "State", "AbortTask")
+	if i.site.mapper {
+		return analysis.IsMethod(fn, mapperPath, "State", "Commit") ||
+			analysis.IsMethod(fn, mapperPath, "State", "Abort")
 	}
 	if !analysis.IsMethod(fn, oneportPath, "Txn", "Commit") &&
 		!analysis.IsMethod(fn, oneportPath, "Txn", "Abort") {

@@ -86,12 +86,12 @@ func (ls *listState) trial(t dag.TaskID, u platform.ProcID) (start, finish float
 	ready := 0.0
 	for _, e := range ls.g.Pred(t) {
 		src := ls.sched.Replica(schedule.Ref{Task: e.From})
-		_, fin := txn.Transfer(src.Proc, u, e.Volume, src.Finish, "")
+		_, fin := txn.Transfer(src.Proc, u, e.Volume, src.Finish)
 		if fin > ready {
 			ready = fin
 		}
 	}
-	return txn.Compute(u, ls.g.Task(t).Work, ready, "")
+	return txn.Compute(u, ls.g.Task(t).Work, ready)
 }
 
 // commit places t on u for real.
@@ -102,7 +102,7 @@ func (ls *listState) commit(t dag.TaskID, u platform.ProcID) {
 	var in []schedule.Comm
 	for _, e := range ls.g.Pred(t) {
 		src := ls.sched.Replica(schedule.Ref{Task: e.From})
-		cs, cf := txn.Transfer(src.Proc, u, e.Volume, src.Finish, "")
+		cs, cf := txn.Transfer(src.Proc, u, e.Volume, src.Finish)
 		in = append(in, schedule.Comm{From: src.Ref, Volume: e.Volume, Start: cs, Finish: cf})
 		if cf > ready {
 			ready = cf
@@ -113,7 +113,7 @@ func (ls *listState) commit(t dag.TaskID, u platform.ProcID) {
 			ls.cout[src.Proc] += d
 		}
 	}
-	start, finish := txn.Compute(u, ls.g.Task(t).Work, ready, ref.String())
+	start, finish := txn.Compute(u, ls.g.Task(t).Work, ready)
 	txn.Commit()
 	ls.sigma[u] += finish - start
 	ls.sched.AddReplica(&schedule.Replica{Ref: ref, Proc: u, Start: start, Finish: finish, In: in})

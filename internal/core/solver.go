@@ -230,24 +230,16 @@ func (s *Solver) Solve(ctx context.Context, g *dag.Graph, p *platform.Platform) 
 
 // runAlgorithm dispatches one concrete algorithm.
 func (s *Solver) runAlgorithm(ctx context.Context, algo Algorithm, g *dag.Graph, p *platform.Platform) (*schedule.Schedule, error) {
+	opts := ltf.Options{ChunkSize: s.chunkSize, DisableOneToOne: !s.oneToOne, Lookahead: s.lookahead}
 	switch algo {
 	case LTF:
-		return ltf.Schedule(ctx, g, p, s.eps, s.period, ltf.Options{
-			ChunkSize:       s.chunkSize,
-			DisableOneToOne: !s.oneToOne,
-			Lookahead:       s.lookahead,
-		})
+		return ltf.Schedule(ctx, g, p, s.eps, s.period, opts)
 	case RLTF:
-		return rltf.Schedule(ctx, g, p, s.eps, s.period, rltf.Options{
-			ChunkSize:       s.chunkSize,
-			DisableOneToOne: !s.oneToOne,
-			Lookahead:       s.lookahead,
-		})
+		return rltf.Schedule(ctx, g, p, s.eps, s.period, opts)
 	case FaultFree:
-		return rltf.FaultFree(ctx, g, p, s.period, rltf.Options{
-			ChunkSize: s.chunkSize,
-			Lookahead: s.lookahead,
-		})
+		// The fault-free reference always maps communications one-to-one.
+		opts.DisableOneToOne = false
+		return rltf.FaultFree(ctx, g, p, s.period, opts)
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", algo)
 	}

@@ -21,7 +21,7 @@ import (
 	"streamsched/internal/schedule"
 )
 
-// Options tune the algorithm.
+// Options tune LTF and R-LTF (package rltf aliases this type).
 type Options struct {
 	// ChunkSize is B, the number of ready tasks mapped per iso-level chunk.
 	// 0 means the paper's default, B = m. ChunkSize 1 degrades LTF to plain
@@ -32,11 +32,11 @@ type Options struct {
 	// DESIGN.md §E9).
 	DisableOneToOne bool
 	// Lookahead enables speculative chunk placement (DESIGN.md §7): windows
-	// of k ready tasks are placed once per candidate strategy under a chunk
-	// transaction (mapper.BeginChunk journaling), each complete placement is
-	// scored by (max stage, max finish) over the window, and the best is
-	// kept. 0 or 1 disables speculation and reproduces the plain chunked
-	// loop exactly; k > 1 trades construction time for schedule quality.
+	// of k ready tasks are placed once per candidate strategy under a
+	// mapper transaction, each complete placement is scored by (max stage,
+	// max finish) over the window, and the best is kept. 0 or 1 disables
+	// speculation and reproduces the plain chunked loop exactly; k > 1
+	// trades construction time for schedule quality.
 	Lookahead int
 }
 
@@ -50,24 +50,45 @@ func Schedule(ctx context.Context, g *dag.Graph, p *platform.Platform, eps int, 
 	if err != nil {
 		return nil, err
 	}
-	st.OneToOneOff = opts.DisableOneToOne
-	b := opts.ChunkSize
-	if b <= 0 {
-		b = p.NumProcs()
-	}
-	sp := obs.FromContext(ctx).Child("ltf")
-	err = run(obs.ContextWith(ctx, sp), st, b, opts.Lookahead, mapper.MinFinish)
-	EndPhaseSpan(sp, st, err)
-	if err != nil {
+	if err := Construct(ctx, st, "ltf", opts, func(dag.TaskID) mapper.Better { return mapper.MinFinish }); err != nil {
 		return nil, err
 	}
 	return st.Sched, nil
 }
 
-// EndPhaseSpan attaches the construction's phase counters (and the error,
-// if any) to an algorithm-level trace span and closes it. No-op on an
-// inactive span. Shared with rltf.
-func EndPhaseSpan(sp obs.SpanRef, st *mapper.State, err error) {
+// Construct runs the LTF construction over st under a trace span named
+// span, which closes carrying the construction's phase counters (and the
+// error, if any). R-LTF calls it on the reversed graph with ReverseMode set
+// and its per-task Rule-1 comparator (the bound depends on the stages of
+// the task's already-placed neighbors).
+//
+// Forward mode interleaves the chunk tasks' replica rounds (PlaceForward).
+// Reverse mode places each task's ε+1 replicas contiguously and
+// all-or-nothing — either every copy through the one-to-one procedure or
+// every copy through the fallback — because a mixture would leave the
+// consumers that are no chain's head fed only by the fallback copies, an
+// untracked vulnerability (see mapper's discipline note). A mid-way
+// one-to-one failure rolls the task back through a mapper transaction.
+//
+// With opts.Lookahead > 1 the loop pops windows of k ready tasks and places
+// each window speculatively (placeSpeculative); otherwise it is the plain
+// loop, bit for bit.
+func Construct(ctx context.Context, st *mapper.State, span string, opts Options, betterFor func(dag.TaskID) mapper.Better) error {
+	st.OneToOneOff = opts.DisableOneToOne
+	pop := opts.ChunkSize
+	if pop <= 0 {
+		pop = st.P.NumProcs()
+	}
+	if opts.Lookahead > 1 {
+		pop = opts.Lookahead
+	}
+	sp := obs.FromContext(ctx).Child(span)
+	err := Run(obs.ContextWith(ctx, sp), st, pop, func(chunk []dag.TaskID, cs obs.SpanRef) error {
+		if opts.Lookahead > 1 && len(chunk) > 1 {
+			return placeSpeculative(st, chunk, betterFor, cs)
+		}
+		return placeVariant(st, chunk, 0, betterFor, cs)
+	})
 	if sp.Active() {
 		sp.SetArg("trials", st.Phases.Trials)
 		sp.SetArg("placements", st.Phases.Placements)
@@ -78,39 +99,19 @@ func EndPhaseSpan(sp obs.SpanRef, st *mapper.State, err error) {
 		}
 	}
 	sp.End()
+	return err
 }
 
-// run executes the chunked replica-placement loop shared with R-LTF (which
-// calls it on the reversed graph with a different comparator factory).
-func run(ctx context.Context, st *mapper.State, chunkSize, lookahead int, better mapper.Better) error {
-	return runWith(ctx, st, chunkSize, lookahead, func(dag.TaskID) mapper.Better { return better })
-}
-
-// runWith is run with a per-task comparator (R-LTF's Rule 1 bound depends on
-// the stages of the current task's already-placed neighbors).
-//
-// Forward mode interleaves the chunk tasks' replica rounds (the iso-level
-// balancing of Algorithm 4.1). Reverse mode places each task's ε+1 replicas
-// contiguously and all-or-nothing — either every copy through the
-// one-to-one procedure or every copy through the fallback — because a
-// mixture would leave the consumers that are no chain's head fed only by
-// the fallback copies, an untracked vulnerability (see mapper's discipline
-// note). A mid-way one-to-one failure rolls the task back through the task
-// transaction's journal mark.
-//
-// With lookahead > 1 the loop pops windows of k ready tasks and places each
-// window speculatively (placeChunkSpeculative): every candidate strategy is
-// built in full under a chunk transaction, scored, rolled back, and the best
-// one re-run for keeps. lookahead <= 1 is the plain loop, bit for bit.
-func runWith(ctx context.Context, st *mapper.State, chunkSize, lookahead int, betterFor func(dag.TaskID) mapper.Better) error {
+// Run is the chunked replica-placement loop of Algorithm 4.1, shared by
+// LTF, R-LTF and incremental repair (package repair): it pops chunks of up
+// to chunkSize ready tasks in priority order, hands each to place, and
+// marks it scheduled, releasing its successors. place gets the chunk's
+// trace span.
+func Run(ctx context.Context, st *mapper.State, chunkSize int, place func(chunk []dag.TaskID, cs obs.SpanRef) error) error {
 	// Tracing is per chunk, not per placement: a chunk is the coarsest unit
 	// that still shows where a construction spent its time, and the span is
 	// inactive (pure no-op) unless the request is traced.
 	sp := obs.FromContext(ctx)
-	pop := chunkSize
-	if lookahead > 1 {
-		pop = lookahead
-	}
 	for !st.Done() {
 		// Cancellation is checked once per chunk: a chunk is the placement
 		// loop's unit of work, so an abandoned search (tricrit, Batch) stops
@@ -118,7 +119,7 @@ func runWith(ctx context.Context, st *mapper.State, chunkSize, lookahead int, be
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		chunk := st.PopChunk(pop)
+		chunk := st.PopChunk(chunkSize)
 		if len(chunk) == 0 {
 			return fmt.Errorf("ltf: no ready task but %s", "unscheduled tasks remain (graph not acyclic?)")
 		}
@@ -126,16 +127,7 @@ func runWith(ctx context.Context, st *mapper.State, chunkSize, lookahead int, be
 		if cs.Active() {
 			cs.SetArg("tasks", len(chunk))
 		}
-		var err error
-		switch {
-		case lookahead > 1 && len(chunk) > 1:
-			err = placeChunkSpeculative(st, chunk, betterFor, cs)
-		case st.ReverseMode:
-			err = placeChunkReverse(st, chunk, false, betterFor, cs)
-		default:
-			err = placeChunkForward(st, chunk, false, betterFor, cs)
-		}
-		if err != nil {
+		if err := place(chunk, cs); err != nil {
 			cs.End()
 			return err
 		}
@@ -145,42 +137,32 @@ func runWith(ctx context.Context, st *mapper.State, chunkSize, lookahead int, be
 	return nil
 }
 
-// placeChunkForward places one forward-mode chunk. The default interleaves
-// the chunk tasks' replica rounds (the iso-level balancing of Algorithm
-// 4.1); sequential is the speculative alternative that finishes all ε+1
-// copies of each task before starting the next, letting later tasks chain
-// onto the completed placements of earlier ones.
-func placeChunkForward(st *mapper.State, chunk []dag.TaskID, sequential bool, betterFor func(dag.TaskID) mapper.Better, cs obs.SpanRef) error {
-	if sequential {
-		for _, t := range chunk {
-			better := betterFor(t)
-			pools := st.Pools(t)
-			theta := st.Theta(pools)
-			z := 0
-			for n := 0; n <= st.Eps; n++ {
-				if !st.OneToOneOff && z < theta && st.OneToOne(t, n, pools, better) {
-					z++
-					continue
-				}
-				if err := st.Fallback(t, n, better); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	pools := make([][][]schedule.Ref, len(chunk))
-	theta := make([]int, len(chunk))
-	z := make([]int, len(chunk))
+// forwardTask is PlaceForward's per-task state: the predecessor pools, the
+// number of copies they can chain (θ), and the number chained so far.
+type forwardTask struct {
+	pools    [][]schedule.Ref
+	theta, z int
+}
+
+// PlaceForward places every replica of the chunk tasks in forward mode,
+// interleaving the tasks' replica rounds (the iso-level balancing of
+// Algorithm 4.1): copy n of every task is placed before copy n+1 of any.
+// Each copy goes through the one-to-one procedure while the task's
+// predecessor pools admit a chain (and one-to-one is enabled), and through
+// the fallback's full communication replication otherwise. A one-task
+// chunk places that task's ε+1 copies in a row.
+func PlaceForward(st *mapper.State, chunk []dag.TaskID, betterFor func(dag.TaskID) mapper.Better) error {
+	tasks := make([]forwardTask, len(chunk))
 	for k, t := range chunk {
-		pools[k] = st.Pools(t)
-		theta[k] = st.Theta(pools[k])
+		tasks[k].pools = st.Pools(t)
+		tasks[k].theta = st.Theta(tasks[k].pools)
 	}
 	for n := 0; n <= st.Eps; n++ {
 		for k, t := range chunk {
+			ft := &tasks[k]
 			better := betterFor(t)
-			if !st.OneToOneOff && z[k] < theta[k] && st.OneToOne(t, n, pools[k], better) {
-				z[k]++
+			if !st.OneToOneOff && ft.z < ft.theta && st.OneToOne(t, n, ft.pools, better) {
+				ft.z++
 				continue
 			}
 			if err := st.Fallback(t, n, better); err != nil {
@@ -191,51 +173,64 @@ func placeChunkForward(st *mapper.State, chunk []dag.TaskID, sequential bool, be
 	return nil
 }
 
-// placeChunkReverse places one reverse-mode chunk task by task through the
-// all-or-nothing retry ladder, in priority order by default or back to front
-// when reversed (the speculative alternative: the lowest-priority task picks
-// its merge targets first).
-func placeChunkReverse(st *mapper.State, chunk []dag.TaskID, reversed bool, betterFor func(dag.TaskID) mapper.Better, cs obs.SpanRef) error {
-	for i := range chunk {
-		t := chunk[i]
-		if reversed {
-			t = chunk[len(chunk)-1-i]
+// placeVariant runs one placement strategy over the chunk: variant 0 is the
+// mode's canonical order — interleaved forward rounds, or reverse tasks in
+// priority order — and variant 1 the speculative alternative: forward, all
+// ε+1 copies of each task before the next (later tasks chain onto the
+// completed placements of earlier ones); reverse, back to front (the
+// lowest-priority task picks its merge targets first).
+func placeVariant(st *mapper.State, chunk []dag.TaskID, variant int, betterFor func(dag.TaskID) mapper.Better, cs obs.SpanRef) error {
+	if st.ReverseMode {
+		for i := range chunk {
+			t := chunk[i]
+			if variant == 1 {
+				t = chunk[len(chunk)-1-i]
+			}
+			if err := placeTaskAllOrNothing(st, t, betterFor(t), cs); err != nil {
+				return err
+			}
 		}
-		if err := placeTaskAllOrNothing(st, t, betterFor(t), cs); err != nil {
+		return nil
+	}
+	if variant == 0 {
+		return PlaceForward(st, chunk, betterFor)
+	}
+	for i := range chunk {
+		if err := PlaceForward(st, chunk[i:i+1], betterFor); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// placeChunkSpeculative is the lookahead driver: each placement strategy
-// builds the whole window under a chunk transaction, the complete placements
-// are scored by (max stage, max finish) over the window's replicas — lower
-// is better, ties keep the earlier variant — and after every variant has
-// been rolled back the winner re-runs for keeps (the machinery is
-// deterministic, so the re-run reproduces the scored placement exactly).
-// When every variant fails the error of the canonical strategy is returned,
-// so infeasibility classification matches the non-speculative loop.
-func placeChunkSpeculative(st *mapper.State, chunk []dag.TaskID, betterFor func(dag.TaskID) mapper.Better, cs obs.SpanRef) error {
+// placeSpeculative is the lookahead driver: each placement strategy builds
+// the whole window under a mapper transaction, the complete placements are
+// scored by (max stage, max finish) over the window's replicas — lower is
+// better, ties keep the earlier variant — and after every variant has been
+// rolled back the winner re-runs for keeps (the machinery is deterministic,
+// so the re-run reproduces the scored placement exactly). When every
+// variant fails the error of the canonical strategy is returned, so
+// infeasibility classification matches the non-speculative loop.
+func placeSpeculative(st *mapper.State, chunk []dag.TaskID, betterFor func(dag.TaskID) mapper.Better, cs obs.SpanRef) error {
 	const variants = 2
 	best := -1
 	bestStage, bestFin := 0, 0.0
 	var firstErr error
 	for v := 0; v < variants; v++ {
-		st.BeginChunk(chunk)
-		err := placeChunkVariant(st, chunk, v, betterFor, cs)
+		st.Begin(chunk...)
+		err := placeVariant(st, chunk, v, betterFor, cs)
 		if err != nil {
 			if v == 0 {
 				firstErr = err
 			}
-			st.AbortChunk()
+			st.Abort()
 			continue
 		}
 		stage, fin := windowScore(st, chunk)
 		if best < 0 || stage < bestStage || (stage == bestStage && fin < bestFin) {
 			best, bestStage, bestFin = v, stage, fin
 		}
-		st.AbortChunk()
+		st.Abort()
 	}
 	if best < 0 {
 		return firstErr
@@ -243,16 +238,7 @@ func placeChunkSpeculative(st *mapper.State, chunk []dag.TaskID, betterFor func(
 	if cs.Active() {
 		cs.SetArg("variant", best)
 	}
-	return placeChunkVariant(st, chunk, best, betterFor, cs)
-}
-
-// placeChunkVariant runs one placement strategy over the window: variant 0
-// is the mode's canonical order, variant 1 its alternative.
-func placeChunkVariant(st *mapper.State, chunk []dag.TaskID, variant int, betterFor func(dag.TaskID) mapper.Better, cs obs.SpanRef) error {
-	if st.ReverseMode {
-		return placeChunkReverse(st, chunk, variant == 1, betterFor, cs)
-	}
-	return placeChunkForward(st, chunk, variant == 1, betterFor, cs)
+	return placeVariant(st, chunk, best, betterFor, cs)
 }
 
 // windowScore reduces a fully placed window to its speculative score: the
@@ -278,7 +264,7 @@ func windowScore(st *mapper.State, chunk []dag.TaskID) (stage int, fin float64) 
 // comparator first; if the aggressive merging runs the chains into a wall,
 // a full chain with the finish-time comparator (which spreads load); and
 // only then the all-fallback placement with its (ε+1)²-per-edge
-// communications. Each failed rung rolls back through the task transaction
+// communications. Each failed rung rolls back through a mapper transaction
 // (journaled undo, O(changes)).
 func placeTaskAllOrNothing(st *mapper.State, t dag.TaskID, better mapper.Better, sp obs.SpanRef) error {
 	if !st.OneToOneOff && st.Theta(st.Pools(t)) >= st.Eps+1 {
@@ -288,7 +274,7 @@ func placeTaskAllOrNothing(st *mapper.State, t dag.TaskID, better mapper.Better,
 				b = mapper.MinFinish
 			}
 			pools := st.Pools(t)
-			st.BeginTask(t)
+			st.Begin(t)
 			ok := true
 			for n := 0; n <= st.Eps; n++ {
 				if !st.OneToOne(t, n, pools, b) {
@@ -297,10 +283,10 @@ func placeTaskAllOrNothing(st *mapper.State, t dag.TaskID, better mapper.Better,
 				}
 			}
 			if ok {
-				st.CommitTask()
+				st.Commit()
 				return nil
 			}
-			st.AbortTask()
+			st.Abort()
 			if sp.Active() {
 				sp.Event("rollback", map[string]any{"task": int(t), "rung": rung})
 			}
@@ -312,10 +298,4 @@ func placeTaskAllOrNothing(st *mapper.State, t dag.TaskID, better mapper.Better,
 		}
 	}
 	return nil
-}
-
-// Run is the shared driver exposed for R-LTF. It is not part of the public
-// façade API.
-func Run(ctx context.Context, st *mapper.State, chunkSize, lookahead int, betterFor func(dag.TaskID) mapper.Better) error {
-	return runWith(ctx, st, chunkSize, lookahead, betterFor)
 }

@@ -1,13 +1,16 @@
 package mapper
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
+	"streamsched/internal/bitset"
 	"streamsched/internal/dag"
 	"streamsched/internal/platform"
 	"streamsched/internal/rng"
 	"streamsched/internal/schedule"
+	"streamsched/internal/timeline"
 )
 
 func chainAB() *dag.Graph {
@@ -84,19 +87,31 @@ func TestMarkScheduledTwicePanics(t *testing.T) {
 	st.MarkScheduled(chunk)
 }
 
+// feasible reports condition (1) for a candidate the way placements test
+// it, through evalCandidate, and checks that the trial and non-trial
+// evaluations agree.
+func feasible(t *testing.T, st *State, task dag.TaskID, u platform.ProcID, sources []schedule.Ref) bool {
+	t.Helper()
+	_, ok, _ := st.evalCandidate(task, u, sources, false)
+	if _, okTrial, _ := st.evalCandidate(task, u, sources, true); okTrial != ok {
+		t.Fatalf("evalCandidate(%d on %d): feasible %t without trial, %t with", task, u, ok, okTrial)
+	}
+	return ok
+}
+
 func TestFeasibleComputeBudget(t *testing.T) {
 	g := chainAB()
 	st := newState(t, g, 2, 0, 1.5) // period 1.5, unit tasks
-	if !st.Feasible(0, 0, nil) {
+	if !feasible(t, st, 0, 0, nil) {
 		t.Fatal("empty processor must accept one unit task")
 	}
 	st.CommitPlace(0, 0, 0, nil)
 	st.MarkScheduled([]dag.TaskID{0})
 	// Second unit task would push Σ to 2 > 1.5.
-	if st.Feasible(1, 0, []schedule.Ref{{Task: 0, Copy: 0}}) {
+	if feasible(t, st, 1, 0, []schedule.Ref{{Task: 0, Copy: 0}}) {
 		t.Fatal("Σ budget exceeded but Feasible said yes")
 	}
-	if !st.Feasible(1, 1, []schedule.Ref{{Task: 0, Copy: 0}}) {
+	if !feasible(t, st, 1, 1, []schedule.Ref{{Task: 0, Copy: 0}}) {
 		// comm volume 2 / bw 1 = 2 > 1.5 → port budget also binds
 		t.Log("cross placement rejected due to port budget (expected)")
 	}
@@ -115,11 +130,11 @@ func TestFeasiblePortBudget(t *testing.T) {
 	st.MarkScheduled([]dag.TaskID{0})
 	// Cross-processor comm time = 3 > 2.5: C^I budget violated even though
 	// Σ_1 = 1 would fit.
-	if st.Feasible(1, 1, []schedule.Ref{{Task: 0, Copy: 0}}) {
+	if feasible(t, st, 1, 1, []schedule.Ref{{Task: 0, Copy: 0}}) {
 		t.Fatal("port budget exceeded but Feasible said yes")
 	}
 	// Co-located placement prices no comm; Σ_0 = 1+1 = 2 ≤ 2.5.
-	if !st.Feasible(1, 0, []schedule.Ref{{Task: 0, Copy: 0}}) {
+	if !feasible(t, st, 1, 0, []schedule.Ref{{Task: 0, Copy: 0}}) {
 		t.Fatal("co-located placement should be feasible")
 	}
 }
@@ -129,10 +144,10 @@ func TestFeasibleRejectsSameProcCopies(t *testing.T) {
 	g.AddTask("a", 0.1)
 	st := newState(t, g, 3, 1, 100)
 	st.CommitPlace(0, 0, 1, nil)
-	if st.Feasible(0, 1, nil) {
+	if feasible(t, st, 0, 1, nil) {
 		t.Fatal("two copies on one processor accepted")
 	}
-	if !st.Feasible(0, 2, nil) {
+	if !feasible(t, st, 0, 2, nil) {
 		t.Fatal("distinct processor rejected")
 	}
 }
@@ -155,15 +170,23 @@ func TestCommitPlaceUpdatesLoads(t *testing.T) {
 	}
 }
 
+// The trial placement evalCandidate prices a candidate with must finish
+// where the commit does, and must leave no trace.
 func TestTrialFinishMatchesCommit(t *testing.T) {
 	g := chainAB()
 	st := newState(t, g, 2, 0, 100)
 	st.CommitPlace(0, 0, 0, nil)
 	st.MarkScheduled([]dag.TaskID{0})
-	want := st.TrialFinish(1, 1, []schedule.Ref{{Task: 0, Copy: 0}})
+	cand, ok, _ := st.evalCandidate(1, 1, []schedule.Ref{{Task: 0, Copy: 0}}, true)
+	if !ok {
+		t.Fatal("feasible candidate rejected")
+	}
 	rep := st.CommitPlace(1, 0, 1, []schedule.Ref{{Task: 0, Copy: 0}})
-	if rep.Finish != want {
-		t.Fatalf("trial %v vs commit %v", want, rep.Finish)
+	if rep.Finish != cand.Finish {
+		t.Fatalf("trial %v vs commit %v", cand.Finish, rep.Finish)
+	}
+	if got := st.ReplicaStage(rep.Ref); got != cand.Stage {
+		t.Fatalf("trial stage %d vs commit %d", cand.Stage, got)
 	}
 }
 
@@ -171,9 +194,11 @@ func TestTrialFinishDoesNotMutate(t *testing.T) {
 	g := chainAB()
 	st := newState(t, g, 2, 0, 100)
 	st.CommitPlace(0, 0, 0, nil)
-	before := st.Sys.Comp(1).Len()
-	_ = st.TrialFinish(1, 1, []schedule.Ref{{Task: 0, Copy: 0}})
-	if st.Sys.Comp(1).Len() != before {
+	before, mark := st.Sys.Comp(1).Len(), st.Sys.Mark()
+	if _, ok, _ := st.evalCandidate(1, 1, []schedule.Ref{{Task: 0, Copy: 0}}, true); !ok {
+		t.Fatal("feasible candidate rejected")
+	}
+	if st.Sys.Comp(1).Len() != before || st.Sys.Mark() != mark {
 		t.Fatal("trial mutated committed timelines")
 	}
 	if st.Sched.Replica(schedule.Ref{Task: 1, Copy: 0}) != nil {
@@ -269,14 +294,14 @@ func TestTaskTransactionRollback(t *testing.T) {
 	st := newState(t, g, 4, 1, 100)
 	st.ReverseMode = true
 	pools := st.Pools(dag.TaskID(0))
-	st.BeginTask(0)
+	st.Begin(0)
 	if !st.OneToOne(0, 0, pools, MinFinish) {
 		t.Fatal("one-to-one failed")
 	}
 	if st.Sched.Replica(schedule.Ref{Task: 0, Copy: 0}) == nil {
 		t.Fatal("replica missing after placement")
 	}
-	st.AbortTask()
+	st.Abort()
 	if st.Sched.Replica(schedule.Ref{Task: 0, Copy: 0}) != nil {
 		t.Fatal("replica survived rollback")
 	}
@@ -342,23 +367,29 @@ func TestVulnCapDefault(t *testing.T) {
 	}
 }
 
+// randomGraph builds an n-task DAG with forward edges drawn at density 0.15.
+func randomGraph(r *rng.Source, n int) *dag.Graph {
+	g := dag.New("rand")
+	for i := 0; i < n; i++ {
+		g.AddTask("t", r.Uniform(0.5, 1.5))
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if r.Bool(0.15) {
+				g.MustAddEdge(dag.TaskID(i), dag.TaskID(j), r.Uniform(0.1, 1))
+			}
+		}
+	}
+	return g
+}
+
 // Property: on random instances, interleaving one-to-one and fallback via
 // the public entry points always preserves claim disjointness per task.
 func TestClaimDisjointnessProperty(t *testing.T) {
 	r := rng.New(99)
 	for trial := 0; trial < 30; trial++ {
 		n := 5 + r.IntN(15)
-		g := dag.New("rand")
-		for i := 0; i < n; i++ {
-			g.AddTask("t", r.Uniform(0.5, 1.5))
-		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if r.Bool(0.15) {
-					g.MustAddEdge(dag.TaskID(i), dag.TaskID(j), r.Uniform(0.1, 1))
-				}
-			}
-		}
+		g := randomGraph(r, n)
 		eps := 1 + r.IntN(2)
 		st, err := New(g, platform.Homogeneous(8, 1, 1), eps, 50, "x")
 		if err != nil {
@@ -386,6 +417,140 @@ func TestClaimDisjointnessProperty(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// stateCopy is an independent deep copy of everything a transaction
+// covers: loads, claims, copyProcs rows, stages, reverse-mode support
+// lists, placed replicas and the one-port timelines.
+type stateCopy struct {
+	sigma, cIn, cOut []float64
+	claims, procs    []bitset.Set
+	stage            []int
+	supp             [][]suppPair
+	replicas         []*schedule.Replica
+	timelines        [][]timeline.Interval
+}
+
+func copyState(st *State) stateCopy {
+	c := stateCopy{
+		sigma: append([]float64(nil), st.Sigma...),
+		cIn:   append([]float64(nil), st.CIn...),
+		cOut:  append([]float64(nil), st.COut...),
+		stage: append([]int(nil), st.stage...),
+	}
+	for t := 0; t < st.G.NumTasks(); t++ {
+		c.procs = append(c.procs, append(bitset.Set(nil), st.copyProcs.At(t)...))
+		for _, ref := range schedule.ReplicaRefs(dag.TaskID(t), st.Eps) {
+			i := st.refIdx(ref.Task, ref.Copy)
+			c.claims = append(c.claims, append(bitset.Set(nil), st.claims.At(i)...))
+			c.supp = append(c.supp, append([]suppPair(nil), st.supp[i]...))
+			var rep *schedule.Replica
+			if r := st.Sched.Replica(ref); r != nil {
+				cp := *r
+				cp.In = append([]schedule.Comm(nil), r.In...)
+				rep = &cp
+			}
+			c.replicas = append(c.replicas, rep)
+		}
+	}
+	for u := 0; u < st.P.NumProcs(); u++ {
+		pu := platform.ProcID(u)
+		for _, tl := range []*timeline.Timeline{st.Sys.Comp(pu), st.Sys.Send(pu), st.Sys.Recv(pu)} {
+			c.timelines = append(c.timelines, append([]timeline.Interval(nil), tl.Busy()...))
+		}
+	}
+	return c
+}
+
+func requireState(t *testing.T, st *State, want stateCopy, what string) {
+	t.Helper()
+	if got := copyState(st); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: state diverged from the deep-copy oracle:\n got %+v\nwant %+v", what, got, want)
+	}
+}
+
+// TestTransactionMatchesDeepCopyOracle drives random single-task and window
+// transactions, nested to depth 2 as reverse-mode lookahead nests its retry
+// ladder inside a window, interleaved with OneToOne/Fallback placements.
+// After every Abort the state must equal a deep copy taken at the matching
+// Begin; after every Commit, a deep copy taken just before it.
+func TestTransactionMatchesDeepCopyOracle(t *testing.T) {
+	r := rng.New(17)
+	for trial := 0; trial < 24; trial++ {
+		g := randomGraph(r, 6+r.IntN(14))
+		eps := 1 + r.IntN(2)
+		p := platform.RandomHeterogeneous(r, 6+r.IntN(4), 0.5, 1, 0.5, 1, 10)
+		st, err := New(g, p, eps, 1000, "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.ReverseMode = trial%2 == 1
+		// place puts copies [0, n) of task through the one-to-one procedure
+		// or the fallback, at random.
+		place := func(task dag.TaskID, n int) {
+			pools := st.Pools(task)
+			for c := 0; c < n; c++ {
+				if r.Bool(0.7) && st.OneToOne(task, c, pools, MinFinish) {
+					continue
+				}
+				if err := st.Fallback(task, c, MinFinish); err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+			}
+		}
+		// resolve commits or aborts the innermost transaction (abort is
+		// forced when its tasks are incomplete) and checks the oracle; it
+		// reports whether the work was kept.
+		resolve := func(begin stateCopy, complete bool, what string) bool {
+			if complete && r.Bool(0.5) {
+				pre := copyState(st)
+				st.Commit()
+				requireState(t, st, pre, what+" Commit")
+				return true
+			}
+			rollbacks := st.Phases.Rollbacks
+			st.Abort()
+			requireState(t, st, begin, what+" Abort")
+			if st.Phases.Rollbacks != rollbacks+1 {
+				t.Fatalf("%s Abort counted %d rollbacks", what, st.Phases.Rollbacks-rollbacks)
+			}
+			return false
+		}
+		placeTasks := func(tasks []dag.TaskID) {
+			for _, task := range tasks {
+				if r.Bool(0.5) {
+					begin := copyState(st)
+					st.Begin(task)
+					n := 1 + r.IntN(st.Eps+1)
+					place(task, n)
+					if resolve(begin, n == st.Eps+1, "task") {
+						continue
+					}
+				}
+				place(task, st.Eps+1)
+			}
+		}
+		for !st.Done() {
+			window := append([]dag.TaskID(nil), st.PopChunk(1+r.IntN(4))...)
+			if r.Bool(0.5) {
+				begin := copyState(st)
+				st.Begin(window...)
+				placeTasks(window)
+				if !resolve(begin, true, "window") {
+					placeTasks(window)
+				}
+			} else {
+				placeTasks(window)
+			}
+			st.MarkScheduled(window)
+		}
+		if !st.Sched.Complete() {
+			t.Fatalf("trial %d: schedule incomplete", trial)
+		}
+		if err := st.Sys.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }

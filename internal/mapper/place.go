@@ -6,6 +6,7 @@ import (
 	"streamsched/internal/bitset"
 	"streamsched/internal/dag"
 	"streamsched/internal/infeas"
+	"streamsched/internal/oneport"
 	"streamsched/internal/platform"
 	"streamsched/internal/schedule"
 )
@@ -106,25 +107,6 @@ func (st *State) orderSources(sources []schedule.Ref) []schedule.Ref {
 	return st.srcBuf
 }
 
-// TrialFinish simulates placing a replica of t on u with the given sources
-// and returns the finish time, without mutating anything.
-//
-//streamsched:hotpath
-func (st *State) TrialFinish(t dag.TaskID, u platform.ProcID, sources []schedule.Ref) float64 {
-	txn := st.Sys.Begin()
-	defer txn.Abort()
-	ready := 0.0
-	for _, src := range st.orderSources(sources) {
-		r := st.Sched.Replica(src)
-		_, fin := txn.Transfer(r.Proc, u, st.volume(src.Task, t), r.Finish, "")
-		if fin > ready {
-			ready = fin
-		}
-	}
-	_, fin := txn.Compute(u, st.G.Task(t).Work, ready, "")
-	return fin
-}
-
 // CommitPlace irrevocably places copy `copy` of t on u, consuming the given
 // sources: transfers are reserved on the one-port timelines, the replica is
 // registered in the schedule, and the steady-state loads and stage map are
@@ -139,11 +121,7 @@ func (st *State) CommitPlace(t dag.TaskID, copy int, u platform.ProcID, sources 
 	for _, src := range st.orderSources(sources) {
 		r := st.Sched.Replica(src)
 		vol := st.volume(src.Task, t)
-		tag := ""
-		if st.DebugTags {
-			tag = st.commTag(src, ref)
-		}
-		cs, cf := txn.Transfer(r.Proc, u, vol, r.Finish, tag)
+		cs, cf := txn.Transfer(r.Proc, u, vol, r.Finish)
 		st.commBuf = append(st.commBuf, schedule.Comm{From: src, Volume: vol, Start: cs, Finish: cf})
 		if cf > ready {
 			ready = cf
@@ -154,11 +132,7 @@ func (st *State) CommitPlace(t dag.TaskID, copy int, u platform.ProcID, sources 
 			st.COut[r.Proc] += d
 		}
 	}
-	tag := ""
-	if st.DebugTags {
-		tag = string(appendRef(st.tagBuf[:0], ref))
-	}
-	start, finish := txn.Compute(u, st.G.Task(t).Work, ready, tag)
+	start, finish := txn.Compute(u, st.G.Task(t).Work, ready)
 	txn.Commit()
 	st.Sigma[u] += finish - start
 	in := append([]schedule.Comm(nil), st.commBuf...)
@@ -561,138 +535,94 @@ func (st *State) Fallback(t dag.TaskID, copy int, better Better) error {
 	return nil
 }
 
-// BeginTask opens the task transaction covering everything task t's replica
-// placements mutate, so a partially chained task can be rolled back and
-// retried in all-fallback mode (reverse construction must never mix chain
-// and fallback copies of one task: consumers that are no chain's head would
-// then receive inputs only from the fallback copies, an untracked
-// vulnerability — see the discipline note above). The one-port side is a
-// journal mark — AbortTask rewinds the timelines in O(changes) instead of
-// restoring a 3m-timeline deep copy; the small per-processor load vectors
-// and the claims span are still captured by value into State-owned scratch.
-// At most one task transaction is live at a time (the retry ladder is
-// sequential); close it with CommitTask or AbortTask.
-func (st *State) BeginTask(t dag.TaskID) {
-	if st.snapLive {
-		panic("mapper: BeginTask while a task transaction is live")
-	}
-	st.snapLive = true
-	st.snapTask = t
-	st.snapMark = st.Sys.Mark()
-	st.snapSigma = append(st.snapSigma[:0], st.Sigma...)
-	st.snapCIn = append(st.snapCIn[:0], st.CIn...)
-	st.snapCOut = append(st.snapCOut[:0], st.COut...)
-	st.snapClaims = st.claims.Snapshot(st.snapClaims)
-	st.snapCopyProcs = append(st.snapCopyProcs[:0], st.copyProcs.At(int(t))...)
+// txnFrame is the rollback record of one open transaction (Begin): the
+// one-port journal mark, the load vectors, the claims span and the copyProcs
+// rows of the transaction's tasks, packed consecutively. Frames are reused
+// across transactions, so steady-state Begin/Abort cycles allocate nothing.
+type txnFrame struct {
+	tasks            []dag.TaskID
+	mark             oneport.Mark
+	sigma, cIn, cOut []float64
+	claims           bitset.Set
+	copyProcs        bitset.Set
 }
 
-// CommitTask closes the task transaction, keeping every placement made
-// since BeginTask.
-func (st *State) CommitTask() {
-	if !st.snapLive {
-		panic("mapper: CommitTask without a live task transaction")
+// Begin opens a transaction covering everything the placement of the given
+// tasks' replicas mutates, so the placement can be rolled back and retried:
+// the reverse-mode retry ladder wraps one task (reverse construction must
+// never mix chain and fallback copies of one task: consumers that are no
+// chain's head would then receive inputs only from the fallback copies, an
+// untracked vulnerability — see the discipline note above), repair wraps
+// each replay rung, and the speculative lookahead (ltf.Options.Lookahead)
+// wraps a whole task window. The one-port side is a journal mark — Abort
+// rewinds the timelines in O(changes) — and the small per-processor load
+// vectors and the claims span are captured by value into a reusable frame.
+// The ready heap and precedence counters are not captured: callers pop the
+// tasks before Begin and mark them scheduled only after the transaction
+// resolves.
+//
+// Transactions nest LIFO (reverse-mode lookahead runs the retry ladder
+// inside a window transaction); a nested transaction's tasks must be among
+// its parent's, so that aborting the parent also withdraws what a committed
+// child kept. Close every Begin with Commit or Abort.
+func (st *State) Begin(tasks ...dag.TaskID) {
+	n := len(st.txns)
+	if n < cap(st.txns) {
+		st.txns = st.txns[:n+1]
+	} else {
+		st.txns = append(st.txns, txnFrame{})
 	}
-	st.snapLive = false
-}
-
-// AbortTask rolls the state back to the BeginTask point, withdrawing any
-// replicas of the transaction's task placed since.
-func (st *State) AbortTask() {
-	if !st.snapLive {
-		panic("mapper: AbortTask without a live task transaction")
-	}
-	st.snapLive = false
-	st.Phases.Rollbacks++
-	st.Sys.Rollback(st.snapMark)
-	copy(st.Sigma, st.snapSigma)
-	copy(st.CIn, st.snapCIn)
-	copy(st.COut, st.snapCOut)
-	st.claims.Restore(st.snapClaims)
-	st.copyProcs.At(int(st.snapTask)).CopyFrom(st.snapCopyProcs)
-	for _, ref := range schedule.ReplicaRefs(st.snapTask, st.Eps) {
-		if st.Sched.Replica(ref) != nil {
-			st.Sched.RemoveReplica(ref)
-		}
-		i := st.refIdx(ref.Task, ref.Copy)
-		st.stage[i] = 0
-		st.supp[i] = nil
-	}
-}
-
-// BeginChunk opens the chunk transaction covering everything the placement
-// of a whole task window mutates — the multi-task analogue of BeginTask, and
-// the journal machinery behind the speculative lookahead (ltf.Options
-// .Lookahead): a candidate placement of the window is built in full, scored,
-// and either kept or rewound in O(changes). The ready heap and precedence
-// counters are deliberately not captured: the window is popped before the
-// transaction opens and only marked scheduled after it resolves, so they do
-// not change in between. Reverse mode runs its single-task retry ladder
-// (BeginTask/AbortTask) inside a chunk transaction; the one-port journal
-// marks nest LIFO, and the two transactions keep disjoint scratch buffers.
-func (st *State) BeginChunk(tasks []dag.TaskID) {
-	if st.chunkLive {
-		panic("mapper: BeginChunk while a chunk transaction is live")
-	}
-	if st.snapLive {
-		panic("mapper: BeginChunk inside a task transaction")
-	}
-	st.chunkLive = true
-	st.chunkTasks = append(st.chunkTasks[:0], tasks...)
-	st.chunkMark = st.Sys.Mark()
-	st.chunkSigma = append(st.chunkSigma[:0], st.Sigma...)
-	st.chunkCIn = append(st.chunkCIn[:0], st.CIn...)
-	st.chunkCOut = append(st.chunkCOut[:0], st.COut...)
-	st.chunkClaims = st.claims.Snapshot(st.chunkClaims)
-	st.chunkCopyProcs = st.chunkCopyProcs[:0]
+	f := &st.txns[n]
+	f.tasks = append(f.tasks[:0], tasks...)
+	f.mark = st.Sys.Mark()
+	f.sigma = append(f.sigma[:0], st.Sigma...)
+	f.cIn = append(f.cIn[:0], st.CIn...)
+	f.cOut = append(f.cOut[:0], st.COut...)
+	f.claims = st.claims.Snapshot(f.claims)
+	f.copyProcs = f.copyProcs[:0]
 	for _, t := range tasks {
-		st.chunkCopyProcs = append(st.chunkCopyProcs, st.copyProcs.At(int(t))...)
+		f.copyProcs = append(f.copyProcs, st.copyProcs.At(int(t))...)
 	}
 }
 
-// CommitChunk closes the chunk transaction, keeping every placement made
-// since BeginChunk.
-func (st *State) CommitChunk() {
-	if !st.chunkLive {
-		panic("mapper: CommitChunk without a live chunk transaction")
-	}
-	if st.snapLive {
-		panic("mapper: CommitChunk with a live task transaction")
-	}
-	st.chunkLive = false
-}
+// Commit closes the innermost transaction, keeping every placement made
+// since its Begin.
+func (st *State) Commit() { st.popTxn() }
 
-// AbortChunk rolls the state back to the BeginChunk point, withdrawing every
-// replica of the window tasks placed since.
-func (st *State) AbortChunk() {
-	if !st.chunkLive {
-		panic("mapper: AbortChunk without a live chunk transaction")
-	}
-	if st.snapLive {
-		panic("mapper: AbortChunk with a live task transaction")
-	}
-	st.chunkLive = false
+// Abort rolls the state back to the innermost transaction's Begin point,
+// withdrawing every replica of its tasks placed since.
+func (st *State) Abort() {
+	f := st.popTxn()
 	st.Phases.Rollbacks++
-	st.Sys.Rollback(st.chunkMark)
-	copy(st.Sigma, st.chunkSigma)
-	copy(st.CIn, st.chunkCIn)
-	copy(st.COut, st.chunkCOut)
-	st.claims.Restore(st.chunkClaims)
-	if n := len(st.chunkTasks); n > 0 {
-		w := len(st.chunkCopyProcs) / n
-		for i, t := range st.chunkTasks {
-			st.copyProcs.At(int(t)).CopyFrom(st.chunkCopyProcs[i*w : (i+1)*w])
-		}
-	}
-	for _, t := range st.chunkTasks {
+	st.Sys.Rollback(f.mark)
+	copy(st.Sigma, f.sigma)
+	copy(st.CIn, f.cIn)
+	copy(st.COut, f.cOut)
+	st.claims.Restore(f.claims)
+	w := len(st.copyProcs.At(0))
+	for i, t := range f.tasks {
+		st.copyProcs.At(int(t)).CopyFrom(f.copyProcs[i*w : (i+1)*w])
 		for _, ref := range schedule.ReplicaRefs(t, st.Eps) {
 			if st.Sched.Replica(ref) != nil {
 				st.Sched.RemoveReplica(ref)
 			}
-			i := st.refIdx(ref.Task, ref.Copy)
-			st.stage[i] = 0
-			st.supp[i] = nil
+			k := st.refIdx(ref.Task, ref.Copy)
+			st.stage[k] = 0
+			st.supp[k] = nil
 		}
 	}
+}
+
+// popTxn closes the innermost transaction and returns its frame, which
+// stays valid until the next Begin.
+func (st *State) popTxn() *txnFrame {
+	n := len(st.txns)
+	if n == 0 {
+		panic("mapper: Commit or Abort without a live transaction")
+	}
+	f := &st.txns[n-1]
+	st.txns = st.txns[:n-1]
+	return f
 }
 
 // MaxPredStage returns the largest stage number among the placed replicas of

@@ -56,7 +56,7 @@ type ReplayPlacement struct {
 // processor range, the sibling-vulnerability exclusion, the chain
 // discipline, and condition (1) — and reports false without mutating
 // anything when one fails. Callers are expected to run the ε+1 copies of a
-// task inside one BeginTask/AbortTask transaction so a mid-task failure
+// task inside one Begin/Abort transaction so a mid-task failure
 // unwinds the already-replayed copies through the journal.
 func (st *State) ReplayPlace(t dag.TaskID, copy int, pl ReplayPlacement) bool {
 	u := pl.Proc

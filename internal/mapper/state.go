@@ -24,7 +24,6 @@ package mapper
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"streamsched/internal/bitset"
 	"streamsched/internal/dag"
@@ -61,8 +60,9 @@ type PhaseCounters struct {
 	Trials int64
 	// Placements counts replicas committed (CommitPlace).
 	Placements int64
-	// Rollbacks counts task transactions unwound (AbortTask), i.e. retry
-	// ladder rungs abandoned with a journal rollback.
+	// Rollbacks counts transactions unwound (Abort): retry-ladder and
+	// repair rungs abandoned with a journal rollback, and speculative
+	// lookahead windows scored and rewound.
 	Rollbacks int64
 	// Fallbacks counts replicas committed via full communication
 	// replication (Fallback).
@@ -98,11 +98,6 @@ type State struct {
 	// replica's own processor. Defaults to max(2, m/(ε+1)) — an even
 	// partition of the machine among the chains.
 	VulnCap int
-	// DebugTags labels one-port reservations with replica names for Gantt
-	// inspection of the construction state. Off by default: the labels cost
-	// one string allocation per committed transfer and the final schedule
-	// carries its own naming.
-	DebugTags bool
 	// Phases accumulates placement-phase counters for observability; read
 	// by the algorithm layer when closing its trace span.
 	Phases PhaseCounters
@@ -111,7 +106,7 @@ type State struct {
 	// index refIdx(t,c): the processors whose failure can invalidate the
 	// replica through its chain inputs. The reliability invariant keeps the
 	// claims of one task's copies pairwise disjoint (see the discipline note
-	// in place.go). A flat span, so task snapshots copy it wholesale.
+	// in place.go). A flat span, so transactions snapshot it wholesale.
 	claims *bitset.Span
 	// copyProcs set t records which processors already host a copy of t —
 	// the hard exclusion (two copies of one task must never share a
@@ -138,7 +133,7 @@ type State struct {
 	// Scratch buffers — reused across candidate evaluations so the steady
 	// state allocates nothing. Each is owned by exactly one phase of a
 	// placement step; see the methods that fill them.
-	srcBuf      []schedule.Ref    // evalCandidate/TrialFinish: ordered sources
+	srcBuf      []schedule.Ref    // orderSources result
 	durBuf      []float64         // evalCandidate: priced comm durations, aligned with srcBuf
 	outDelta    []float64         // evalCandidate: per-processor added send load
 	outTouch    []platform.ProcID // evalCandidate: processors with non-zero outDelta
@@ -153,34 +148,10 @@ type State struct {
 	allSrc      []schedule.Ref    // AllSources result
 	chunkBuf    []dag.TaskID      // PopChunk result
 	commBuf     []schedule.Comm   // CommitPlace: staged incoming comms
-	tagBuf      []byte            // commTag assembly
 
-	// Task-transaction scratch (BeginTask/AbortTask). The retry ladder holds
-	// at most one task transaction at a time, so one set of buffers serves
-	// the whole construction; the one-port side needs no buffers at all —
-	// the journal mark snapMark rewinds it in O(changes).
-	snapLive      bool
-	snapTask      dag.TaskID
-	snapMark      oneport.Mark
-	snapSigma     []float64
-	snapCIn       []float64
-	snapCOut      []float64
-	snapClaims    bitset.Set
-	snapCopyProcs bitset.Set
-
-	// Chunk-transaction scratch (BeginChunk/AbortChunk), used by the
-	// speculative lookahead to journal a whole k-task placement window.
-	// Reverse mode nests the single-task retry ladder (BeginTask/AbortTask)
-	// inside a chunk transaction, so the two keep disjoint buffers; the
-	// copyProcs rows of every window task are packed consecutively.
-	chunkLive      bool
-	chunkTasks     []dag.TaskID
-	chunkMark      oneport.Mark
-	chunkSigma     []float64
-	chunkCIn       []float64
-	chunkCOut      []float64
-	chunkClaims    bitset.Set
-	chunkCopyProcs bitset.Set
+	// txns is the stack of open transactions (Begin), innermost last.
+	// Frames past len keep their buffers for the next Begin.
+	txns []txnFrame
 }
 
 // predEdge is one (predecessor, volume) entry of predVol.
@@ -381,26 +352,19 @@ func (st *State) volume(p, t dag.TaskID) float64 {
 	panic(fmt.Sprintf("mapper: %d is not a predecessor of %d", p, t))
 }
 
-// Feasible evaluates condition (1) of §4.1 for placing a replica of t on u
-// with the given communication sources: with the new load added,
-// T·Σ_u ≤ 1, T·C_u^I ≤ 1 and T·C_h^O ≤ 1 for every sending processor h.
-// The caller handles the locking part of the condition.
-func (st *State) Feasible(t dag.TaskID, u platform.ProcID, sources []schedule.Ref) bool {
-	_, ok, _ := st.evalCandidate(t, u, sources, false)
-	return ok
-}
-
 // evalCandidate is the single-pass candidate evaluation at the core of the
 // hot path. It orders the sources, prices each transfer once, folds the
-// prices into the condition-(1) feasibility sums and the pipeline stage, and
+// prices into the condition-(1) feasibility sums (§4.1: with the new load
+// added, T·Σ_u ≤ 1, T·C_u^I ≤ 1 and T·C_h^O ≤ 1 for every sending
+// processor h; callers handle the locking part) and the pipeline stage, and
 // — when feasible and trial is set — simulates the placement on the pooled
 // one-port transaction with the already-priced durations. The former code
-// walked the sources three times per candidate processor (Feasible,
-// TrialFinish, stageOf), re-pricing every communication and allocating a
-// send-load map each walk. The violated clause of condition (1) comes back
-// classified: the copy-disjointness exclusion maps to ReasonNoProcessor,
-// the compute-load clause to ReasonPeriodExceeded, and the port-budget
-// clauses to ReasonPortOverload.
+// walked the sources three times per candidate processor (a feasibility
+// test, a trial placement, and stageOf), re-pricing every communication and
+// allocating a send-load map each walk. The violated clause of condition
+// (1) comes back classified: the copy-disjointness exclusion maps to
+// ReasonNoProcessor, the compute-load clause to ReasonPeriodExceeded, and
+// the port-budget clauses to ReasonPortOverload.
 //
 //streamsched:hotpath
 func (st *State) evalCandidate(t dag.TaskID, u platform.ProcID, sources []schedule.Ref, trial bool) (cand Candidate, ok bool, why infeas.Reason) {
@@ -464,11 +428,11 @@ func (st *State) evalCandidate(t dag.TaskID, u platform.ProcID, sources []schedu
 		ready := 0.0
 		for i, src := range ordered {
 			r := st.Sched.Replica(src)
-			if _, fin := txn.TransferDur(r.Proc, u, st.durBuf[i], r.Finish, ""); fin > ready {
+			if _, fin := txn.TransferDur(r.Proc, u, st.durBuf[i], r.Finish); fin > ready {
 				ready = fin
 			}
 		}
-		_, fin := txn.Compute(u, st.G.Task(t).Work, ready, "")
+		_, fin := txn.Compute(u, st.G.Task(t).Work, ready)
 		txn.Abort()
 		cand.Finish = fin
 	}
@@ -496,23 +460,4 @@ func (st *State) stageOf(u platform.ProcID, sources []schedule.Ref) int {
 		}
 	}
 	return stage
-}
-
-// commTag renders "src→dst" for a reservation label (DebugTags only).
-func (st *State) commTag(src, dst schedule.Ref) string {
-	b := st.tagBuf[:0]
-	b = appendRef(b, src)
-	b = append(b, "→"...)
-	b = appendRef(b, dst)
-	st.tagBuf = b
-	return string(b)
-}
-
-func appendRef(b []byte, r schedule.Ref) []byte {
-	b = append(b, 't')
-	b = strconv.AppendInt(b, int64(r.Task), 10)
-	b = append(b, '(')
-	b = strconv.AppendInt(b, int64(r.Copy+1), 10)
-	b = append(b, ')')
-	return b
 }

@@ -216,28 +216,27 @@ func (s *System) Begin() Txn {
 // Transfer reserves the earliest window for moving vol data units from
 // processor `from` to processor `to`, no earlier than ready. It returns the
 // window; zero-duration transfers (same processor or zero volume) return
-// (ready, ready) and reserve nothing. The tag labels the reservation for
-// Gantt rendering.
-func (t *Txn) Transfer(from, to platform.ProcID, vol, ready float64, tag string) (start, finish float64) {
+// (ready, ready) and reserve nothing.
+func (t *Txn) Transfer(from, to platform.ProcID, vol, ready float64) (start, finish float64) {
 	if from == to || vol == 0 {
 		t.checkOpen()
 		return ready, ready
 	}
-	return t.TransferDur(from, to, t.sys.plat.CommTime(vol, from, to), ready, tag)
+	return t.TransferDur(from, to, t.sys.plat.CommTime(vol, from, to), ready)
 }
 
 // TransferDur is Transfer with the transfer duration already priced — the
 // schedulers compute each candidate's communication terms once for the
 // condition-(1) feasibility test and reuse them here instead of paying a
 // second CommTime per source. A zero dur reserves nothing.
-func (t *Txn) TransferDur(from, to platform.ProcID, dur, ready float64, tag string) (start, finish float64) {
+func (t *Txn) TransferDur(from, to platform.ProcID, dur, ready float64) (start, finish float64) {
 	t.checkOpen()
 	if dur == 0 {
 		return ready, ready
 	}
 	s := t.sys
 	start = s.CommonGap(from, to, ready, dur)
-	iv := timeline.Interval{Start: start, End: start + dur, Tag: tag}
+	iv := timeline.Interval{Start: start, End: start + dur}
 	s.send[from].MustReserve(iv)
 	s.ops = append(s.ops, op(opSend, from))
 	s.recv[to].MustReserve(iv)
@@ -247,14 +246,14 @@ func (t *Txn) TransferDur(from, to platform.ProcID, dur, ready float64, tag stri
 
 // Compute reserves the earliest slot on processor u for a task of the given
 // work, no earlier than ready, and returns the slot.
-func (t *Txn) Compute(u platform.ProcID, work, ready float64, tag string) (start, finish float64) {
+func (t *Txn) Compute(u platform.ProcID, work, ready float64) (start, finish float64) {
 	t.checkOpen()
 	s := t.sys
 	dur := s.plat.ExecTime(work, u)
 	tl := s.comp[u]
 	start = tl.EarliestGap(ready, dur)
 	if dur != 0 {
-		tl.MustReserve(timeline.Interval{Start: start, End: start + dur, Tag: tag})
+		tl.MustReserve(timeline.Interval{Start: start, End: start + dur})
 		s.ops = append(s.ops, op(opComp, u))
 	}
 	return start, start + dur

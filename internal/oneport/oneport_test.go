@@ -15,11 +15,11 @@ func newSys() *System {
 func TestComputePlacement(t *testing.T) {
 	s := newSys()
 	txn := s.Begin()
-	st, fin := txn.Compute(0, 10, 0, "t0")
+	st, fin := txn.Compute(0, 10, 0)
 	if st != 0 || fin != 10 {
 		t.Fatalf("compute slot [%v,%v)", st, fin)
 	}
-	st2, fin2 := txn.Compute(0, 5, 0, "t1")
+	st2, fin2 := txn.Compute(0, 5, 0)
 	if st2 != 10 || fin2 != 15 {
 		t.Fatalf("second compute should serialize: [%v,%v)", st2, fin2)
 	}
@@ -33,8 +33,8 @@ func TestComputeSpeedScaling(t *testing.T) {
 	p := platform.New([]float64{2, 0.5}, [][]float64{{0, 1}, {1, 0}})
 	s := NewSystem(p)
 	txn := s.Begin()
-	_, finFast := txn.Compute(0, 10, 0, "")
-	_, finSlow := txn.Compute(1, 10, 0, "")
+	_, finFast := txn.Compute(0, 10, 0)
+	_, finSlow := txn.Compute(1, 10, 0)
 	txn.Commit()
 	if finFast != 5 || finSlow != 20 {
 		t.Fatalf("speed scaling wrong: fast=%v slow=%v", finFast, finSlow)
@@ -44,7 +44,7 @@ func TestComputeSpeedScaling(t *testing.T) {
 func TestTransferSameProcFree(t *testing.T) {
 	s := newSys()
 	txn := s.Begin()
-	st, fin := txn.Transfer(1, 1, 100, 7, "")
+	st, fin := txn.Transfer(1, 1, 100, 7)
 	if st != 7 || fin != 7 {
 		t.Fatalf("intra-proc transfer [%v,%v), want [7,7)", st, fin)
 	}
@@ -57,7 +57,7 @@ func TestTransferSameProcFree(t *testing.T) {
 func TestTransferReservesBothPorts(t *testing.T) {
 	s := newSys()
 	txn := s.Begin()
-	st, fin := txn.Transfer(0, 1, 4, 2, "e")
+	st, fin := txn.Transfer(0, 1, 4, 2)
 	txn.Commit()
 	if st != 2 || fin != 6 {
 		t.Fatalf("transfer window [%v,%v)", st, fin)
@@ -73,8 +73,8 @@ func TestTransferReservesBothPorts(t *testing.T) {
 func TestOnePortSerializesSends(t *testing.T) {
 	s := newSys()
 	txn := s.Begin()
-	_, f1 := txn.Transfer(0, 1, 5, 0, "")
-	st2, _ := txn.Transfer(0, 2, 5, 0, "")
+	_, f1 := txn.Transfer(0, 1, 5, 0)
+	st2, _ := txn.Transfer(0, 2, 5, 0)
 	txn.Commit()
 	if st2 < f1 {
 		t.Fatalf("two sends from one processor overlap: second starts %v before first ends %v", st2, f1)
@@ -84,8 +84,8 @@ func TestOnePortSerializesSends(t *testing.T) {
 func TestOnePortSerializesReceives(t *testing.T) {
 	s := newSys()
 	txn := s.Begin()
-	_, f1 := txn.Transfer(1, 0, 5, 0, "")
-	st2, _ := txn.Transfer(2, 0, 5, 0, "")
+	_, f1 := txn.Transfer(1, 0, 5, 0)
+	st2, _ := txn.Transfer(2, 0, 5, 0)
 	txn.Commit()
 	if st2 < f1 {
 		t.Fatalf("two receives at one processor overlap: %v < %v", st2, f1)
@@ -97,8 +97,8 @@ func TestSendAndReceiveOverlapAllowed(t *testing.T) {
 	// simultaneously.
 	s := newSys()
 	txn := s.Begin()
-	st1, _ := txn.Transfer(0, 1, 5, 0, "")
-	st2, _ := txn.Transfer(2, 0, 5, 0, "")
+	st1, _ := txn.Transfer(0, 1, 5, 0)
+	st2, _ := txn.Transfer(2, 0, 5, 0)
 	txn.Commit()
 	if st1 != 0 || st2 != 0 {
 		t.Fatalf("send+recv should overlap: send at %v, recv at %v", st1, st2)
@@ -108,8 +108,8 @@ func TestSendAndReceiveOverlapAllowed(t *testing.T) {
 func TestComputeCommOverlapAllowed(t *testing.T) {
 	s := newSys()
 	txn := s.Begin()
-	cs, _ := txn.Compute(0, 10, 0, "")
-	ts, _ := txn.Transfer(0, 1, 5, 0, "")
+	cs, _ := txn.Compute(0, 10, 0)
+	ts, _ := txn.Transfer(0, 1, 5, 0)
 	txn.Commit()
 	if cs != 0 || ts != 0 {
 		t.Fatalf("compute and send should overlap: %v %v", cs, ts)
@@ -119,8 +119,8 @@ func TestComputeCommOverlapAllowed(t *testing.T) {
 func TestTrialIsolation(t *testing.T) {
 	s := newSys()
 	trial := s.Begin()
-	trial.Compute(0, 10, 0, "")
-	trial.Transfer(0, 1, 5, 0, "")
+	trial.Compute(0, 10, 0)
+	trial.Transfer(0, 1, 5, 0)
 	trial.Abort()
 	if s.Comp(0).Len() != 0 || s.Send(0).Len() != 0 {
 		t.Fatal("discarded trial leaked into system")
@@ -130,10 +130,10 @@ func TestTrialIsolation(t *testing.T) {
 func TestTrialSeesCommittedState(t *testing.T) {
 	s := newSys()
 	txn := s.Begin()
-	txn.Compute(0, 10, 0, "")
+	txn.Compute(0, 10, 0)
 	txn.Commit()
 	trial := s.Begin()
-	st, _ := trial.Compute(0, 5, 0, "")
+	st, _ := trial.Compute(0, 5, 0)
 	if st != 10 {
 		t.Fatalf("trial ignored committed busy interval: start %v", st)
 	}
@@ -143,20 +143,20 @@ func TestTrialSeesCommittedState(t *testing.T) {
 func TestCommitThenReuseDetected(t *testing.T) {
 	s := newSys()
 	txn := s.Begin()
-	txn.Compute(0, 1, 0, "")
+	txn.Compute(0, 1, 0)
 	txn.Commit()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on reuse")
 		}
 	}()
-	txn.Compute(0, 1, 0, "")
+	txn.Compute(0, 1, 0)
 }
 
 func TestZeroVolumeTransferFree(t *testing.T) {
 	s := newSys()
 	txn := s.Begin()
-	st, fin := txn.Transfer(0, 1, 0, 3, "")
+	st, fin := txn.Transfer(0, 1, 0, 3)
 	txn.Commit()
 	if st != 3 || fin != 3 {
 		t.Fatalf("zero-volume transfer [%v,%v)", st, fin)
@@ -170,7 +170,7 @@ func TestBandwidthScaling(t *testing.T) {
 	p := platform.New([]float64{1, 1}, [][]float64{{0, 4}, {4, 0}})
 	s := NewSystem(p)
 	txn := s.Begin()
-	_, fin := txn.Transfer(0, 1, 8, 0, "")
+	_, fin := txn.Transfer(0, 1, 8, 0)
 	txn.Commit()
 	if fin != 2 {
 		t.Fatalf("transfer of 8 over bw 4 finished at %v, want 2", fin)
@@ -180,8 +180,8 @@ func TestBandwidthScaling(t *testing.T) {
 func TestHorizon(t *testing.T) {
 	s := newSys()
 	txn := s.Begin()
-	txn.Compute(2, 7, 0, "")
-	txn.Transfer(0, 1, 3, 0, "")
+	txn.Compute(2, 7, 0)
+	txn.Transfer(0, 1, 3, 0)
 	txn.Commit()
 	if s.Horizon() != 7 {
 		t.Fatalf("Horizon = %v", s.Horizon())
@@ -197,9 +197,9 @@ func TestValidateAfterRandomOps(t *testing.T) {
 		v := platform.ProcID(r.IntN(6))
 		ready := r.Uniform(0, 50)
 		if r.Bool(0.5) {
-			txn.Compute(u, r.Uniform(0.1, 5), ready, "")
+			txn.Compute(u, r.Uniform(0.1, 5), ready)
 		} else {
-			txn.Transfer(u, v, r.Uniform(0, 100), ready, "")
+			txn.Transfer(u, v, r.Uniform(0, 100), ready)
 		}
 		if r.Bool(0.3) {
 			txn.Abort()
@@ -224,7 +224,7 @@ func TestTransferTimingProperty(t *testing.T) {
 		vol := r.Uniform(1, 100)
 		ready := r.Uniform(0, 40)
 		txn := s.Begin()
-		st, fin := txn.Transfer(from, to, vol, ready, "")
+		st, fin := txn.Transfer(from, to, vol, ready)
 		txn.Commit()
 		if st < ready {
 			t.Fatalf("transfer starts %v before ready %v", st, ready)
@@ -245,7 +245,7 @@ func TestTxnReservationsVisibleUntilAbort(t *testing.T) {
 	// is live and vanish without trace on Abort.
 	s := newSys()
 	txn := s.Begin()
-	txn.Compute(0, 5, 0, "")
+	txn.Compute(0, 5, 0)
 	if s.Comp(0).Len() != 1 {
 		t.Fatal("live txn reservation not visible in place")
 	}
@@ -258,21 +258,10 @@ func TestTxnReservationsVisibleUntilAbort(t *testing.T) {
 		t.Fatal("abort did not restore the pre-txn sequence number")
 	}
 	txn2 := s.Begin()
-	txn2.Compute(0, 5, 0, "")
+	txn2.Compute(0, 5, 0)
 	txn2.Commit()
 	if s.Comp(0).Len() != 1 {
 		t.Fatal("commit did not keep the reservation")
-	}
-}
-
-func TestIntervalTagsCarried(t *testing.T) {
-	s := newSys()
-	txn := s.Begin()
-	txn.Compute(0, 5, 0, "task-A")
-	txn.Commit()
-	ivs := s.Comp(0).Busy()
-	if len(ivs) != 1 || ivs[0].Tag != "task-A" {
-		t.Fatalf("tag lost: %+v", ivs)
 	}
 }
 
@@ -287,16 +276,16 @@ func BenchmarkTrialCommitCycle(b *testing.B) {
 		var bestU platform.ProcID
 		for u := 0; u < 20; u++ {
 			trial := s.Begin()
-			_, fin := trial.Transfer(platform.ProcID((u+1)%20), platform.ProcID(u), 50, 0, "")
-			_, fin2 := trial.Compute(platform.ProcID(u), 1, fin, "")
+			_, fin := trial.Transfer(platform.ProcID((u+1)%20), platform.ProcID(u), 50, 0)
+			_, fin2 := trial.Compute(platform.ProcID(u), 1, fin)
 			trial.Abort()
 			if best < 0 || fin2 < best {
 				best, bestU = fin2, platform.ProcID(u)
 			}
 		}
 		txn := s.Begin()
-		_, fin := txn.Transfer(platform.ProcID((int(bestU)+1)%20), bestU, 50, 0, "")
-		_, fin2 := txn.Compute(bestU, 1, fin, "")
+		_, fin := txn.Transfer(platform.ProcID((int(bestU)+1)%20), bestU, 50, 0)
+		_, fin2 := txn.Compute(bestU, 1, fin)
 		txn.Commit()
 		sinkFloat = fin2
 	}

@@ -12,14 +12,14 @@ import (
 func TestMarkRollback(t *testing.T) {
 	s := NewSystem(platform.Homogeneous(3, 1, 1))
 	txn := s.Begin()
-	txn.Compute(0, 5, 0, "before")
-	txn.Transfer(0, 1, 3, 5, "before")
+	txn.Compute(0, 5, 0)
+	txn.Transfer(0, 1, 3, 5)
 	txn.Commit()
 	mark := s.Mark()
 
 	txn2 := s.Begin()
-	txn2.Compute(0, 5, 0, "after")
-	txn2.Transfer(1, 2, 4, 0, "after")
+	txn2.Compute(0, 5, 0)
+	txn2.Transfer(1, 2, 4, 0)
 	txn2.Commit()
 	if s.Comp(0).Len() != 2 || s.Send(1).Len() != 1 {
 		t.Fatal("post-mark work missing")
@@ -45,7 +45,7 @@ func TestMarkReusableAcrossRollbacks(t *testing.T) {
 	mark := s.Mark()
 	for i := 0; i < 3; i++ {
 		txn := s.Begin()
-		txn.Compute(0, 5, 0, "")
+		txn.Compute(0, 5, 0)
 		txn.Commit()
 		s.Rollback(mark)
 		if s.Comp(0).Len() != 0 {
@@ -54,7 +54,7 @@ func TestMarkReusableAcrossRollbacks(t *testing.T) {
 	}
 	// Work again after the rollbacks.
 	txn := s.Begin()
-	st, fin := txn.Compute(0, 5, 0, "")
+	st, fin := txn.Compute(0, 5, 0)
 	txn.Commit()
 	if st != 0 || fin != 5 {
 		t.Fatalf("post-rollback placement [%v,%v)", st, fin)
@@ -67,7 +67,7 @@ func TestMarkReusableAcrossRollbacks(t *testing.T) {
 func TestRollbackPastJournalPanics(t *testing.T) {
 	s := NewSystem(platform.Homogeneous(2, 1, 1))
 	txn := s.Begin()
-	txn.Compute(0, 5, 0, "")
+	txn.Compute(0, 5, 0)
 	txn.Commit()
 	stale := s.Mark() // position 1
 	s.Rollback(0)
@@ -89,7 +89,7 @@ func TestStaleTxnCopyPanics(t *testing.T) {
 	txn.Abort()
 
 	later := s.Begin()
-	later.Compute(0, 5, 0, "kept")
+	later.Compute(0, 5, 0)
 	later.Commit()
 
 	defer func() {
@@ -117,7 +117,7 @@ func TestNonLIFOTxnUsePanics(t *testing.T) {
 		inner.Abort()
 		outer.Abort()
 	}()
-	outer.Compute(0, 5, 0, "")
+	outer.Compute(0, 5, 0)
 }
 
 // oracleSnap is the old deep-copy snapshot semantics, kept as the test
@@ -126,14 +126,24 @@ type oracleSnap struct {
 	comp, send, recv []*timeline.Timeline
 }
 
+// copyOf returns an independent, unjournaled copy of tl's reservations
+// (with a cold availability memo).
+func copyOf(tl *timeline.Timeline) *timeline.Timeline {
+	c := &timeline.Timeline{}
+	for _, iv := range tl.Busy() {
+		c.MustReserve(iv)
+	}
+	return c
+}
+
 func snapOracle(s *System) *oracleSnap {
 	m := s.Platform().NumProcs()
 	o := &oracleSnap{}
 	for u := 0; u < m; u++ {
 		pu := platform.ProcID(u)
-		o.comp = append(o.comp, s.Comp(pu).Clone())
-		o.send = append(o.send, s.Send(pu).Clone())
-		o.recv = append(o.recv, s.Recv(pu).Clone())
+		o.comp = append(o.comp, copyOf(s.Comp(pu)))
+		o.send = append(o.send, copyOf(s.Send(pu)))
+		o.recv = append(o.recv, copyOf(s.Recv(pu)))
 	}
 	return o
 }
@@ -166,9 +176,9 @@ func randomOp(r *rng.Source, txn *Txn, m int) {
 	v := platform.ProcID(r.IntN(m))
 	ready := r.Uniform(0, 40)
 	if r.Bool(0.5) {
-		txn.Compute(u, r.Uniform(0.1, 4), ready, "")
+		txn.Compute(u, r.Uniform(0.1, 4), ready)
 	} else {
-		txn.Transfer(u, v, r.Uniform(0, 60), ready, "")
+		txn.Transfer(u, v, r.Uniform(0, 60), ready)
 	}
 }
 
@@ -248,7 +258,7 @@ func TestCommonGapCacheConsistency(t *testing.T) {
 			for rep := 0; rep < 2; rep++ {
 				got := s.CommonGap(from, to, ready, dur)
 				want := timeline.EarliestCommonGap(ready, dur,
-					s.Send(from).Clone(), s.Recv(to).Clone())
+					copyOf(s.Send(from)), copyOf(s.Recv(to)))
 				if got != want {
 					t.Fatalf("CommonGap(%d,%d,%v,%v) rep %d = %v, want %v",
 						from, to, ready, dur, rep, got, want)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"streamsched/internal/dag"
+	"streamsched/internal/ltf"
 	"streamsched/internal/mapper"
 	"streamsched/internal/obs"
 	"streamsched/internal/platform"
@@ -46,16 +47,17 @@ type Result struct {
 // Repair reconstructs a schedule for old's graph over the post-delta
 // platform newP. remap translates pre-delta processor identifiers to
 // post-delta ones (-1 = lost), as produced by Delta.Apply. Tasks are
-// consumed in chunked priority order like a fresh construction; each task
-// runs down a three-rung ladder inside journaled task transactions:
+// consumed by LTF's chunked construction loop (ltf.Run), and each task runs
+// down a three-rung ladder, the replay rungs inside journaled mapper
+// transactions:
 //
 //  1. exact replay — every replica recommitted at its prescribed processor
 //     with its prescribed sources;
 //  2. processor-preserving replay — prescribed processors kept, inputs
 //     widened to full communication replication (whose vulnerability
 //     discipline is unconditionally sound);
-//  3. search — the forward placement ladder (one-to-one, then full
-//     communication replication), exactly LTF's inner loop for one task.
+//  3. search — LTF's forward placement of the task alone
+//     (ltf.PlaceForward: one-to-one, then full communication replication).
 //
 // A failed rung unwinds through the journal (O(changes) rollback) before
 // the next is tried. budget bounds the number of search-re-placed tasks
@@ -92,16 +94,7 @@ func Repair(ctx context.Context, old *schedule.Schedule, newP *platform.Platform
 			sp.SetArg("rollbacks", st.Phases.Rollbacks)
 		}
 	}()
-	chunkSize := newP.NumProcs()
-	for !st.Done() {
-		// One cancellation check per chunk, like the construction loop.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		chunk := st.PopChunk(chunkSize)
-		if len(chunk) == 0 {
-			return nil, errors.New("repair: no ready task but unscheduled tasks remain")
-		}
+	err = ltf.Run(obs.ContextWith(ctx, sp), st, newP.NumProcs(), func(chunk []dag.TaskID, _ obs.SpanRef) error {
 		for _, t := range chunk {
 			if replayTask(st, old, remap, t) {
 				res.Stats.Replayed++
@@ -119,30 +112,33 @@ func Repair(ctx context.Context, old *schedule.Schedule, newP *platform.Platform
 				sp.Event("rung", map[string]any{"task": int(t), "rung": "search"})
 			}
 			if budget > 0 && res.Stats.Repaired > budget {
-				return nil, fmt.Errorf("%w: %d tasks needed re-placement, budget %d", ErrBudgetExceeded, res.Stats.Repaired, budget)
+				return fmt.Errorf("%w: %d tasks needed re-placement, budget %d", ErrBudgetExceeded, res.Stats.Repaired, budget)
 			}
-			if err := searchTask(st, t); err != nil {
-				return nil, err
+			if err := ltf.PlaceForward(st, []dag.TaskID{t}, func(dag.TaskID) mapper.Better { return mapper.MinFinish }); err != nil {
+				return err
 			}
 		}
-		st.MarkScheduled(chunk)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.Schedule = st.Sched
 	return res, nil
 }
 
 // replayTask recommits every replica of t at its prescribed placement
-// inside one task transaction; any failure rolls the whole task back.
+// inside one transaction; any failure rolls the whole task back.
 func replayTask(st *mapper.State, old *schedule.Schedule, remap []platform.ProcID, t dag.TaskID) bool {
-	st.BeginTask(t)
+	st.Begin(t)
 	for c := 0; c <= st.Eps; c++ {
 		pl, ok := prescribed(st, old, remap, t, c)
 		if !ok || !st.ReplayPlace(t, c, pl) {
-			st.AbortTask()
+			st.Abort()
 			return false
 		}
 	}
-	st.CommitTask()
+	st.Commit()
 	return true
 }
 
@@ -154,21 +150,21 @@ func replayTask(st *mapper.State, old *schedule.Schedule, remap []platform.ProcI
 // chains in particular — at the price of wider transfers, which the
 // condition-(1) port budgets re-admit or reject per copy.
 func preserveTask(st *mapper.State, old *schedule.Schedule, remap []platform.ProcID, t dag.TaskID) bool {
-	st.BeginTask(t)
+	st.Begin(t)
 	for c := 0; c <= st.Eps; c++ {
 		r := old.Replica(schedule.Ref{Task: t, Copy: c})
 		u := remap[r.Proc]
 		if u < 0 {
-			st.AbortTask()
+			st.Abort()
 			return false
 		}
 		pl := mapper.ReplayPlacement{Proc: u, Sources: st.AllSources(t)}
 		if !st.ReplayPlace(t, c, pl) {
-			st.AbortTask()
+			st.Abort()
 			return false
 		}
 	}
-	st.CommitTask()
+	st.Commit()
 	return true
 }
 
@@ -223,24 +219,4 @@ func prescribed(st *mapper.State, old *schedule.Schedule, remap []platform.ProcI
 	default:
 		return mapper.ReplayPlacement{}, false
 	}
-}
-
-// searchTask re-places every replica of t through the forward search
-// ladder — the one-to-one procedure while admissible heads remain, full
-// communication replication otherwise — exactly the inner loop of LTF's
-// chunk placement restricted to one task.
-func searchTask(st *mapper.State, t dag.TaskID) error {
-	pools := st.Pools(t)
-	theta := st.Theta(pools)
-	z := 0
-	for n := 0; n <= st.Eps; n++ {
-		if z < theta && st.OneToOne(t, n, pools, mapper.MinFinish) {
-			z++
-			continue
-		}
-		if err := st.Fallback(t, n, mapper.MinFinish); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"streamsched/internal/dag"
 	"streamsched/internal/ltf"
+	"streamsched/internal/obs"
 	"streamsched/internal/platform"
 	"streamsched/internal/randgraph"
 	"streamsched/internal/repair"
@@ -94,16 +95,40 @@ func TestRepairPureReplayOnAddedProc(t *testing.T) {
 	}
 }
 
+// requireRepairTrace checks a traced repair's span shape: per-chunk spans
+// of the construction loop under the repair span, and one rung event on the
+// repair span per task that left the exact-replay rung.
+func requireRepairTrace(t *testing.T, tr *obs.Trace, s repair.Stats) {
+	t.Helper()
+	repairSpan, chunks, rungs := int32(-1), 0, 0
+	for i, sp := range tr.Snapshot().Spans {
+		switch {
+		case sp.Name == "repair":
+			repairSpan = int32(i)
+		case sp.Name == "chunk" && sp.Parent == repairSpan:
+			chunks++
+		case sp.Name == "rung" && sp.Parent == repairSpan:
+			rungs++
+		}
+	}
+	if chunks == 0 || rungs != s.Preserved+s.Repaired {
+		t.Fatalf("repair trace has %d chunk spans and %d rung events for stats %+v", chunks, rungs, s)
+	}
+}
+
 // TestRepairProcessorLoss: losing a processor evicts exactly the tasks with
 // a replica there (plus discipline casualties); the result must validate
-// under the post-delta platform.
+// under the post-delta platform, and its trace carries the ladder.
 func TestRepairProcessorLoss(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
 	for _, reverse := range []bool{false, true} {
 		for _, eps := range []int{0, 1, 2} {
 			old, p := testInstance(t, 47, 12, eps, reverse)
 			d := repair.Delta{Lost: []platform.ProcID{3}}
 			newP, remap := mustApply(t, d, p)
-			res, err := repair.Repair(context.Background(), old, newP, remap, 0)
+			tr := obs.NewTrace("replan")
+			res, err := repair.Repair(obs.ContextWith(context.Background(), tr.Root()), old, newP, remap, 0)
 			if err != nil {
 				t.Fatalf("reverse=%v eps=%d: %v", reverse, eps, err)
 			}
@@ -114,6 +139,7 @@ func TestRepairProcessorLoss(t *testing.T) {
 				t.Fatalf("reverse=%v eps=%d: repaired schedule kept %d processors", reverse, eps, res.Schedule.P.NumProcs())
 			}
 			covered(t, res.Stats, old.G.NumTasks())
+			requireRepairTrace(t, tr, res.Stats)
 		}
 	}
 }

@@ -28,22 +28,13 @@ import (
 	"streamsched/internal/dag"
 	"streamsched/internal/ltf"
 	"streamsched/internal/mapper"
-	"streamsched/internal/obs"
 	"streamsched/internal/platform"
 	"streamsched/internal/schedule"
 )
 
 // Options tune the algorithm; the zero value uses the paper's defaults.
-type Options struct {
-	// ChunkSize is B, the iso-level chunk bound (0 → m).
-	ChunkSize int
-	// DisableOneToOne forces full communication replication (ablation).
-	DisableOneToOne bool
-	// Lookahead enables speculative chunk placement, exactly as in
-	// ltf.Options: 0 or 1 is the plain loop, k > 1 scores k-task windows
-	// per candidate strategy under a chunk transaction and keeps the best.
-	Lookahead int
-}
+// R-LTF runs LTF's construction, so it takes LTF's options.
+type Options = ltf.Options
 
 // Schedule maps g onto p tolerating eps failures at the given period using
 // R-LTF and returns the (forward) schedule. Infeasibility is reported as a
@@ -56,21 +47,13 @@ func Schedule(ctx context.Context, g *dag.Graph, p *platform.Platform, eps int, 
 		return nil, err
 	}
 	st.ReverseMode = true
-	st.OneToOneOff = opts.DisableOneToOne
-	b := opts.ChunkSize
-	if b <= 0 {
-		b = p.NumProcs()
-	}
 	// Rule 1: the stage bound for task t is the largest stage among the
 	// placed replicas of its reversed-graph predecessors — the successors
 	// of the original task.
 	betterFor := func(t dag.TaskID) mapper.Better {
 		return mapper.StagePreserving(st.MaxPredStage(t))
 	}
-	sp := obs.FromContext(ctx).Child("rltf")
-	err = ltf.Run(obs.ContextWith(ctx, sp), st, b, opts.Lookahead, betterFor)
-	ltf.EndPhaseSpan(sp, st, err)
-	if err != nil {
+	if err := ltf.Construct(ctx, st, "rltf", opts, betterFor); err != nil {
 		return nil, err
 	}
 	return mirror(g, st), nil

@@ -22,10 +22,6 @@ import (
 // Interval is a half-open busy interval [Start, End).
 type Interval struct {
 	Start, End float64
-	// Tag optionally identifies the activity occupying the interval; it is
-	// carried through for Gantt rendering and debugging and does not affect
-	// placement decisions.
-	Tag string
 }
 
 // Len returns the interval length.
@@ -151,24 +147,6 @@ func (tl *Timeline) Horizon() float64 {
 		return 0
 	}
 	return tl.busy[len(tl.busy)-1].End
-}
-
-// Clone returns an independent deep copy of the timeline's reservations.
-// The clone is not journaled and carries no journal history.
-func (tl *Timeline) Clone() *Timeline {
-	c := &Timeline{busy: make([]Interval, len(tl.busy))}
-	copy(c.busy, tl.busy)
-	return c
-}
-
-// CopyFrom overwrites tl's reservations with the contents of o, reusing
-// tl's interval storage when it is large enough. It discards any journal
-// history — a wholesale overwrite cannot be undone record by record — so it
-// must not be used while rollback marks are outstanding.
-func (tl *Timeline) CopyFrom(o *Timeline) {
-	tl.busy = append(tl.busy[:0], o.busy...)
-	tl.journal = tl.journal[:0]
-	tl.bump()
 }
 
 // Reset removes all reservations and journal history.

@@ -166,16 +166,6 @@ func TestHorizonAndTotals(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	var tl Timeline
-	mustReserve(t, &tl, 0, 5)
-	c := tl.Clone()
-	mustReserve(t, c, 5, 9)
-	if tl.Len() != 1 || c.Len() != 2 {
-		t.Fatalf("clone not independent: orig=%d clone=%d", tl.Len(), c.Len())
-	}
-}
-
 func TestReset(t *testing.T) {
 	var tl Timeline
 	mustReserve(t, &tl, 0, 5)
@@ -345,7 +335,8 @@ func TestJournalRollback(t *testing.T) {
 	var seq uint64
 	var tl Timeline
 	tl.EnableJournal(&seq)
-	tl.MustReserve(Interval{Start: 0, End: 1, Tag: "keep"})
+	keep := Interval{Start: 0, End: 1}
+	tl.MustReserve(keep)
 	mark := tl.Mark()
 	// Insert around the kept interval so rollback must delete mid-slice.
 	tl.MustReserve(Interval{Start: 4, End: 5})
@@ -355,7 +346,7 @@ func TestJournalRollback(t *testing.T) {
 		t.Fatalf("Len = %d before rollback", tl.Len())
 	}
 	tl.Rollback(mark)
-	if tl.Len() != 1 || tl.Busy()[0].Tag != "keep" {
+	if tl.Len() != 1 || tl.Busy()[0] != keep {
 		t.Fatalf("rollback left %+v", tl.Busy())
 	}
 	if tl.Mark() != mark {

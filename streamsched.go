@@ -174,8 +174,9 @@ func WithLatencyCap(cap float64) SolverOption { return core.WithLatencyCap(cap) 
 // Online rescheduling. Solver.Replan(ctx, old, delta, ...ReplanOption)
 // repairs a committed schedule after a platform delta — processors lost or
 // added, speeds or link bandwidths changed — by replaying the surviving
-// placement and re-placing only the evicted tasks through the journaled
-// task transactions, falling back to a cold re-solve when repair fails
+// placement (a replay that no longer fits unwinds through a journaled
+// mapper transaction) and re-placing only the evicted tasks with LTF's
+// forward placement, falling back to a cold re-solve when repair fails
 // (DESIGN.md §10).
 type (
 	// PlatformDelta is one observed platform change set (lost/added
