@@ -2,7 +2,7 @@
 # so a green `make ci` predicts a green CI run.
 
 GO ?= go
-BENCH_RE ?= BenchmarkLTF|BenchmarkRLTF|BenchmarkReplan|BenchmarkSim|BenchmarkTimelineReserve|BenchmarkServiceSolveCached|BenchmarkServiceSolveTraced|BenchmarkTxnRollback|BenchmarkHeadsAvailCache
+BENCH_RE ?= BenchmarkLTF|BenchmarkRLTF|BenchmarkReplan|BenchmarkSim|BenchmarkTimelineReserve|BenchmarkServiceSolveCached|BenchmarkServiceSolveTraced|BenchmarkTxnRollback
 BENCHTIME ?= 5x
 COUNT ?= 3
 

@@ -303,7 +303,7 @@ func BenchmarkTimelineReserve(b *testing.B) {
 
 // populateSystem commits n random reservations onto a fresh m-processor
 // one-port system — the committed-state backdrop for the transactional
-// rollback and availability-cache benchmarks.
+// rollback benchmark.
 func populateSystem(m, n int) *oneport.System {
 	r := rng.New(29)
 	p := platform.RandomHeterogeneous(r, m, 0.5, 1, 0.5, 1, 100)
@@ -341,38 +341,6 @@ func BenchmarkTxnRollback(b *testing.B) {
 		s.Rollback(mark)
 	}
 }
-
-// BenchmarkHeadsAvailCache measures the head-selection availability walk —
-// the earliest common send/recv gap per (source processor × target
-// processor), re-asked with identical arguments between commits — through
-// the system's per-port-pair cache.
-func BenchmarkHeadsAvailCache(b *testing.B) {
-	const m = 20
-	s := populateSystem(m, 2000)
-	readies := make([]float64, m)
-	for u := range readies {
-		readies[u] = float64(3 * u)
-	}
-	sweep := func(query func(from, to platform.ProcID, ready, dur float64) float64) float64 {
-		acc := 0.0
-		for to := 0; to < m; to++ {
-			for from := 0; from < m; from++ {
-				if from != to {
-					acc += query(platform.ProcID(from), platform.ProcID(to), readies[from], 2.5)
-				}
-			}
-		}
-		return acc
-	}
-	b.Run("cached", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sinkFloat = sweep(s.CommonGap)
-		}
-	})
-}
-
-var sinkFloat float64
 
 // BenchmarkValidate measures the full audit including the exhaustive
 // ε-failure enumeration.

@@ -82,9 +82,6 @@ func main() {
 		tracing    = flag.Bool("trace", true, "per-request tracing: X-Trace-Id, /debug/traces, stage latency metrics, request logs")
 		traceRing  = flag.Int("trace-ring", 128, "recent traces retained for /debug/traces (requires -trace)")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (costs CPU when scraped; keep behind ACLs)")
-		// -debug-solve-delay exists for smoke and load testing: it makes
-		// queue-full (429) and coalescing windows deterministic.
-		solveDelay = flag.Duration("debug-solve-delay", 0, "artificial delay per underlying solve (testing only)")
 	)
 	flag.Var(&faults, "fault", "arm a fault-injection site, site=policy (repeatable; policies: always[:param], nth:N[:param], prob:P:SEED[:param]) — chaos testing only")
 	flag.Parse()
@@ -106,7 +103,6 @@ func main() {
 		MaxTimeout:       *maxTimeout,
 		RetryAfter:       *retry,
 		MaxBodyBytes:     *maxBody,
-		SolveDelay:       *solveDelay,
 		SnapshotPath:     *snapshot,
 		SnapshotInterval: *snapEvery,
 		Tracing:          *tracing,

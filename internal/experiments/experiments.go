@@ -126,35 +126,16 @@ type cell struct {
 
 // makeCell draws one cell. The rng consumption order (platform, graph,
 // crash sample) is part of the campaign's reproducibility contract.
-// Generation results are shared through the cell cache (cellcache.go):
-// identical derivation parameters — same seed, sweep point and calibration
-// — return the same read-only graph/platform/crash sample without
-// regenerating them.
 func makeCell(cfg Config, gi, rep int, gran float64) cell {
-	seed := cfg.Seed ^ uint64(gi)<<32 ^ uint64(rep)<<8 ^ uint64(cfg.Eps)
+	r := rng.New(cfg.Seed ^ uint64(gi)<<32 ^ uint64(rep)<<8 ^ uint64(cfg.Eps))
+	p := platform.RandomHeterogeneous(r, cfg.Procs, 0.5, 1.0, 0.5, 1.0, 100)
 	gcfg := randgraph.DefaultStreamConfig()
 	if cfg.ComputeFraction > 0 {
 		gcfg.ComputeFraction = cfg.ComputeFraction
 	}
-	key := cellKey{
-		seed:            seed,
-		gran:            gran,
-		procs:           cfg.Procs,
-		periodBase:      cfg.PeriodBase,
-		computeFraction: gcfg.ComputeFraction, // effective φ after the default rule
-		crashes:         cfg.Crashes,
-	}
-	c := cell{gi: gi, rep: rep, gran: gran}
-	if d, ok := lookupCell(key); ok {
-		c.g, c.p, c.crashed = d.g, d.p, d.crashed
-		return c
-	}
-	r := rng.New(seed)
-	p := platform.RandomHeterogeneous(r, cfg.Procs, 0.5, 1.0, 0.5, 1.0, 100)
 	gcfg.Granularity = gran
 	gcfg.PeriodBase = cfg.PeriodBase
-	g := randgraph.Stream(r, gcfg, p)
-	c.g, c.p = g, p
+	c := cell{gi: gi, rep: rep, gran: gran, p: p, g: randgraph.Stream(r, gcfg, p)}
 	if cfg.Crashes > 0 {
 		// "Processors that fail ... are chosen uniformly" — same crash set
 		// for both algorithms, for a paired comparison.
@@ -162,7 +143,6 @@ func makeCell(cfg Config, gi, rep int, gran float64) cell {
 			c.crashed = append(c.crashed, platform.ProcID(u))
 		}
 	}
-	storeCell(key, &cellData{g: c.g, p: c.p, crashed: c.crashed})
 	return c
 }
 

@@ -188,10 +188,9 @@ func (st *State) Theta(pools [][]schedule.Ref) int {
 }
 
 // singleCommFinish returns the earliest finish of a single transfer from
-// src's processor to u, against the committed port state (read-only). The
-// walk goes through the system's per-port-pair availability cache: head
+// src's processor to u, against the committed port state (read-only). Head
 // selection re-derives this quantity for every (pool candidate × processor)
-// across copies and retry rungs, and between commits the answer repeats.
+// across copies and retry rungs.
 func (st *State) singleCommFinish(src schedule.Ref, t dag.TaskID, u platform.ProcID) float64 {
 	r := st.Sched.Replica(src)
 	if r.Proc == u {

@@ -7,17 +7,16 @@
 // so transfers reserve a common window on the sender's send-port timeline
 // and the receiver's receive-port timeline.
 //
-// State is transactional rather than copy-based: every timeline is
-// journaled, a Mark captures the system at a point in time as a single
-// integer, and Rollback(mark) rewinds in O(reservations undone). The Txn
-// type wraps a mark for the schedulers' trial placements ("simulate the
-// mapping of each task in the subset on all processors", Algorithm 4.1):
-// a transaction reserves directly on the committed timelines — seeing both
-// committed state and its own reservations — and either Commits (keeps
+// State is transactional rather than copy-based: the System keeps one
+// journal recording, for every reservation, the timeline it hit and the
+// index it was inserted at. A Mark captures the system at a point in time
+// as a single integer, and Rollback(mark) rewinds in O(reservations undone).
+// The Txn type wraps a mark for the schedulers' trial placements ("simulate
+// the mapping of each task in the subset on all processors", Algorithm
+// 4.1): a transaction reserves directly on the committed timelines — seeing
+// both committed state and its own reservations — and either Commits (keeps
 // them) or Aborts (pops them off the journal). Transactions and marks must
-// unwind LIFO. The former design cloned every touched timeline per trial
-// and deep-copied all 3m timelines per retry snapshot; the journal replaces
-// both (DESIGN.md §7, "Transactional timelines").
+// unwind LIFO (DESIGN.md §7, "Transactional timelines").
 //
 // Because a system is single-goroutine during a construction, readers of
 // Comp/Send/Recv observe a live transaction's tentative reservations until
@@ -41,72 +40,40 @@ const (
 	opRecv
 )
 
-// opRec packs (kind, processor) of one journaled reservation.
-type opRec uint32
+// opRec is one journaled reservation: kind<<24 | proc names the timeline,
+// and idx is the index Reserve inserted at, which RemoveAt withdraws.
+type opRec struct {
+	at  uint32
+	idx int32
+}
 
-func op(k opKind, u platform.ProcID) opRec { return opRec(uint32(k)<<24 | uint32(u)) }
-
-func (o opRec) kind() opKind          { return opKind(o >> 24) }
-func (o opRec) proc() platform.ProcID { return platform.ProcID(o & 0xffffff) }
+func (o opRec) kind() opKind          { return opKind(o.at >> 24) }
+func (o opRec) proc() platform.ProcID { return platform.ProcID(o.at & 0xffffff) }
 
 // Mark is a rollback point: the system journal position at Mark() time.
 type Mark int
-
-// gapEntry memoizes one CommonGap query against a (send, recv) port pair,
-// validated by the ports' mutation sequence numbers.
-type gapEntry struct {
-	ready, dur, start float64
-	sendSeq, recvSeq  uint64
-	valid             bool
-}
 
 // System tracks per-processor compute, send-port and receive-port timelines
 // over one schedule construction. It is not safe for concurrent use.
 type System struct {
 	plat *platform.Platform
-	comp []*timeline.Timeline
-	send []*timeline.Timeline
-	recv []*timeline.Timeline
+	// tls holds the timelines, indexed by opKind and then by processor.
+	tls [3][]timeline.Timeline
 
-	// seq is the shared mutation counter all timelines draw their sequence
-	// numbers from; ops is the system-wide journal recording which timeline
-	// each reservation hit, in order, so Rollback knows where to undo.
-	seq uint64
+	// ops is the journal: every reservation in order, so Rollback knows
+	// which timeline to undo and where.
 	ops []opRec
-	// live counts open transactions. While a transaction is live the
-	// committed timelines carry tentative reservations, so the gap cache
-	// skips stores (lookups stay sound: entries are validated by sequence
-	// numbers, and tentative mutations always move them).
-	live int
 	// genCtr numbers every transaction ever begun; openGen is the
 	// generation of the innermost open one (0 = none). Together they catch
 	// stale Txn copies and non-LIFO use — see Txn.checkOpen.
 	genCtr, openGen uint64
-
-	// gapCache memoizes CommonGap per (receiver, sender) port pair. Entries
-	// are invalidated only by commits touching the pair's ports: an aborted
-	// trial restores the sequence numbers it bumped, so the cache survives
-	// the candidate sweeps between commits.
-	gapCache []gapEntry
 }
 
 // NewSystem returns an empty System for the platform.
 func NewSystem(p *platform.Platform) *System {
-	m := p.NumProcs()
-	s := &System{
-		plat:     p,
-		comp:     make([]*timeline.Timeline, m),
-		send:     make([]*timeline.Timeline, m),
-		recv:     make([]*timeline.Timeline, m),
-		gapCache: make([]gapEntry, m*m),
-	}
-	for u := 0; u < m; u++ {
-		s.comp[u] = &timeline.Timeline{}
-		s.send[u] = &timeline.Timeline{}
-		s.recv[u] = &timeline.Timeline{}
-		s.comp[u].EnableJournal(&s.seq)
-		s.send[u].EnableJournal(&s.seq)
-		s.recv[u].EnableJournal(&s.seq)
+	s := &System{plat: p}
+	for k := range s.tls {
+		s.tls[k] = make([]timeline.Timeline, p.NumProcs())
 	}
 	return s
 }
@@ -115,20 +82,20 @@ func NewSystem(p *platform.Platform) *System {
 func (s *System) Platform() *platform.Platform { return s.plat }
 
 // Comp returns processor u's compute timeline (read-only use).
-func (s *System) Comp(u platform.ProcID) *timeline.Timeline { return s.comp[u] }
+func (s *System) Comp(u platform.ProcID) *timeline.Timeline { return &s.tls[opComp][u] }
 
 // Send returns processor u's send-port timeline (read-only use).
-func (s *System) Send(u platform.ProcID) *timeline.Timeline { return s.send[u] }
+func (s *System) Send(u platform.ProcID) *timeline.Timeline { return &s.tls[opSend][u] }
 
 // Recv returns processor u's receive-port timeline (read-only use).
-func (s *System) Recv(u platform.ProcID) *timeline.Timeline { return s.recv[u] }
+func (s *System) Recv(u platform.ProcID) *timeline.Timeline { return &s.tls[opRecv][u] }
 
 // Horizon returns the latest busy time across all timelines.
 func (s *System) Horizon() float64 {
 	h := 0.0
-	for u := range s.comp {
-		for _, tl := range []*timeline.Timeline{s.comp[u], s.send[u], s.recv[u]} {
-			if hz := tl.Horizon(); hz > h {
+	for k := range s.tls {
+		for u := range s.tls[k] {
+			if hz := s.tls[k][u].Horizon(); hz > h {
 				h = hz
 			}
 		}
@@ -153,38 +120,24 @@ func (s *System) Rollback(m Mark) {
 	}
 	for i := len(s.ops) - 1; i >= int(m); i-- {
 		rec := s.ops[i]
-		u := rec.proc()
-		switch rec.kind() {
-		case opComp:
-			s.comp[u].Undo()
-		case opSend:
-			s.send[u].Undo()
-		default:
-			s.recv[u].Undo()
-		}
+		s.tls[rec.kind()][rec.proc()].RemoveAt(int(rec.idx))
 	}
 	s.ops = s.ops[:m]
 }
 
+// reserve books iv on processor u's timeline of kind k and journals where
+// it landed. A zero-length interval reserves and journals nothing.
+func (s *System) reserve(k opKind, u platform.ProcID, iv timeline.Interval) {
+	if i := s.tls[k][u].MustReserve(iv); i >= 0 {
+		s.ops = append(s.ops, opRec{at: uint32(k)<<24 | uint32(u), idx: int32(i)})
+	}
+}
+
 // CommonGap returns the earliest start s ≥ ready such that [s, s+dur) is
 // simultaneously free on from's send port and to's receive port — the
-// placement primitive for one-port transfers, and the quantity the head
-// selection re-derives for every (pool candidate × processor) pair. Results
-// are memoized per port pair and invalidated only when a commit touches the
-// pair's ports.
+// placement primitive for one-port transfers.
 func (s *System) CommonGap(from, to platform.ProcID, ready, dur float64) float64 {
-	st, rt := s.send[from], s.recv[to]
-	e := &s.gapCache[int(to)*len(s.send)+int(from)]
-	if e.valid && e.sendSeq == st.Seq() && e.recvSeq == rt.Seq() &&
-		e.ready == ready && e.dur == dur {
-		return e.start
-	}
-	start := timeline.EarliestCommonGap(ready, dur, st, rt)
-	if s.live == 0 {
-		*e = gapEntry{ready: ready, dur: dur, start: start,
-			sendSeq: st.Seq(), recvSeq: rt.Seq(), valid: true}
-	}
-	return start
+	return timeline.EarliestCommonGap(ready, dur, &s.tls[opSend][from], &s.tls[opRecv][to])
 }
 
 // Txn is a transaction over the system: a rollback mark plus the operations
@@ -206,7 +159,6 @@ type Txn struct {
 
 // Begin opens a transaction at the current journal position.
 func (s *System) Begin() Txn {
-	s.live++
 	s.genCtr++
 	t := Txn{sys: s, mark: s.Mark(), gen: s.genCtr, par: s.openGen}
 	s.openGen = t.gen
@@ -237,10 +189,8 @@ func (t *Txn) TransferDur(from, to platform.ProcID, dur, ready float64) (start, 
 	s := t.sys
 	start = s.CommonGap(from, to, ready, dur)
 	iv := timeline.Interval{Start: start, End: start + dur}
-	s.send[from].MustReserve(iv)
-	s.ops = append(s.ops, op(opSend, from))
-	s.recv[to].MustReserve(iv)
-	s.ops = append(s.ops, op(opRecv, to))
+	s.reserve(opSend, from, iv)
+	s.reserve(opRecv, to, iv)
 	return start, start + dur
 }
 
@@ -250,12 +200,8 @@ func (t *Txn) Compute(u platform.ProcID, work, ready float64) (start, finish flo
 	t.checkOpen()
 	s := t.sys
 	dur := s.plat.ExecTime(work, u)
-	tl := s.comp[u]
-	start = tl.EarliestGap(ready, dur)
-	if dur != 0 {
-		tl.MustReserve(timeline.Interval{Start: start, End: start + dur})
-		s.ops = append(s.ops, op(opComp, u))
-	}
+	start = s.tls[opComp][u].EarliestGap(ready, dur)
+	s.reserve(opComp, u, timeline.Interval{Start: start, End: start + dur})
 	return start, start + dur
 }
 
@@ -264,7 +210,6 @@ func (t *Txn) Compute(u platform.ProcID, work, ready float64) (start, finish flo
 func (t *Txn) Commit() {
 	t.checkOpen()
 	t.done = true
-	t.sys.live--
 	t.sys.openGen = t.par
 }
 
@@ -277,7 +222,6 @@ func (t *Txn) Abort() {
 	t.checkOpen()
 	t.sys.Rollback(t.mark)
 	t.done = true
-	t.sys.live--
 	t.sys.openGen = t.par
 }
 
@@ -298,10 +242,10 @@ func (t *Txn) checkOpen() {
 // construction.
 func (s *System) Validate() error {
 	names := [3]string{"comp", "send", "recv"}
-	for u := range s.comp {
-		for i, tl := range [3]*timeline.Timeline{s.comp[u], s.send[u], s.recv[u]} {
-			if err := tl.Validate(); err != nil {
-				return fmt.Errorf("oneport: proc %d %s: %w", u, names[i], err)
+	for u := range s.tls[opComp] {
+		for k := range s.tls {
+			if err := s.tls[k][u].Validate(); err != nil {
+				return fmt.Errorf("oneport: proc %d %s: %w", u, names[k], err)
 			}
 		}
 	}

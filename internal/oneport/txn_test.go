@@ -126,8 +126,7 @@ type oracleSnap struct {
 	comp, send, recv []*timeline.Timeline
 }
 
-// copyOf returns an independent, unjournaled copy of tl's reservations
-// (with a cold availability memo).
+// copyOf returns an independent copy of tl's reservations.
 func copyOf(tl *timeline.Timeline) *timeline.Timeline {
 	c := &timeline.Timeline{}
 	for _, iv := range tl.Busy() {
@@ -235,51 +234,5 @@ func TestJournalMatchesDeepCopyOracle(t *testing.T) {
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCommonGapCacheConsistency checks the per-port-pair availability cache
-// against the uncached walk under random committed mutations, aborted
-// trials (which restore sequence numbers, keeping entries valid) and
-// rollbacks.
-func TestCommonGapCacheConsistency(t *testing.T) {
-	const m = 4
-	r := rng.New(23)
-	s := NewSystem(platform.RandomHeterogeneous(r, m, 0.5, 1, 0.5, 1, 10))
-	check := func() {
-		t.Helper()
-		for q := 0; q < 8; q++ {
-			from := platform.ProcID(r.IntN(m))
-			to := platform.ProcID(r.IntN(m))
-			ready := r.Uniform(0, 30)
-			dur := r.Uniform(0.1, 5)
-			// Repeat each query so the second lookup exercises the cached
-			// entry; compare against the walk on memo-free clones.
-			for rep := 0; rep < 2; rep++ {
-				got := s.CommonGap(from, to, ready, dur)
-				want := timeline.EarliestCommonGap(ready, dur,
-					copyOf(s.Send(from)), copyOf(s.Recv(to)))
-				if got != want {
-					t.Fatalf("CommonGap(%d,%d,%v,%v) rep %d = %v, want %v",
-						from, to, ready, dur, rep, got, want)
-				}
-			}
-		}
-	}
-	mark := s.Mark()
-	for i := 0; i < 400; i++ {
-		txn := s.Begin()
-		randomOp(r, &txn, m)
-		if r.Bool(0.3) {
-			txn.Abort()
-		} else {
-			txn.Commit()
-		}
-		check()
-		if r.Bool(0.02) {
-			s.Rollback(mark)
-			check()
-			mark = s.Mark()
-		}
 	}
 }

@@ -84,7 +84,9 @@ func (s *Schedule) MarshalJSON() ([]byte, error) {
 
 // LoadJSON reconstructs a schedule previously serialized with MarshalJSON,
 // re-binding it to the given graph and platform (which must match the
-// serialized dimensions).
+// serialized dimensions). The structure is checked before anything is
+// built from it, so untrusted input yields an error, never a panic or an
+// allocation sized by an unchecked field.
 func LoadJSON(data []byte, g *dag.Graph, p *platform.Platform) (*Schedule, error) {
 	var in jsonSchedule
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -98,6 +100,9 @@ func LoadJSON(data []byte, g *dag.Graph, p *platform.Platform) (*Schedule, error
 	}
 	if in.Period <= 0 {
 		return nil, fmt.Errorf("schedule: non-positive period %v", in.Period)
+	}
+	if err := in.checkStructure(g); err != nil {
+		return nil, err
 	}
 	s := New(g, p, in.Eps, in.Period, in.Algorithm)
 	for _, jr := range in.Replicas {
@@ -118,4 +123,50 @@ func LoadJSON(data []byte, g *dag.Graph, p *platform.Platform) (*Schedule, error
 		s.AddReplica(rep)
 	}
 	return s, nil
+}
+
+// checkStructure validates what New and AddReplica would otherwise panic
+// on: 0 ≤ ε < procs, every task, copy and processor in range, each of the
+// v×(ε+1) replicas listed exactly once, and every input transfer coming
+// from an in-range copy of a graph predecessor of the replica's task.
+func (in *jsonSchedule) checkStructure(g *dag.Graph) error {
+	if in.Eps < 0 || in.Eps >= in.Procs {
+		return fmt.Errorf("schedule: ε=%d out of range [0,%d)", in.Eps, in.Procs)
+	}
+	copies := in.Eps + 1
+	seen := make([]bool, in.Tasks*copies)
+	for _, jr := range in.Replicas {
+		if jr.Task < 0 || jr.Task >= in.Tasks || jr.Copy < 0 || jr.Copy >= copies {
+			return fmt.Errorf("schedule: replica (task %d, copy %d) out of range (%d tasks, %d copies)", jr.Task, jr.Copy, in.Tasks, copies)
+		}
+		ref := Ref{Task: dag.TaskID(jr.Task), Copy: jr.Copy}
+		if jr.Proc < 0 || jr.Proc >= in.Procs {
+			return fmt.Errorf("schedule: replica %v on processor %d, platform has %d", ref, jr.Proc, in.Procs)
+		}
+		if seen[jr.Task*copies+jr.Copy] {
+			return fmt.Errorf("schedule: replica %v listed twice", ref)
+		}
+		seen[jr.Task*copies+jr.Copy] = true
+		for _, c := range jr.In {
+			if !isPred(g, dag.TaskID(c.FromTask), ref.Task) || c.FromCopy < 0 || c.FromCopy >= copies {
+				return fmt.Errorf("schedule: replica %v input from (task %d, copy %d), not a copy of a predecessor", ref, c.FromTask, c.FromCopy)
+			}
+		}
+	}
+	for k, ok := range seen {
+		if !ok {
+			return fmt.Errorf("schedule: replica %v missing", Ref{Task: dag.TaskID(k / copies), Copy: k % copies})
+		}
+	}
+	return nil
+}
+
+// isPred reports whether u is a direct predecessor of t in g.
+func isPred(g *dag.Graph, u, t dag.TaskID) bool {
+	for _, e := range g.Pred(t) {
+		if e.From == u {
+			return true
+		}
+	}
+	return false
 }

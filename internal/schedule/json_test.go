@@ -73,3 +73,56 @@ func TestLoadJSONRejectsGarbage(t *testing.T) {
 		t.Fatal("zero period accepted")
 	}
 }
+
+// TestLoadJSONRejectsMalformedStructure feeds LoadJSON structurally broken
+// schedules: each must come back as an error, never as a panic, a partial
+// schedule, or an allocation sized by an unchecked ε.
+func TestLoadJSONRejectsMalformedStructure(t *testing.T) {
+	s := fixture(t)
+	data, err := s.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// fixture's replicas serialize as a(1), a(2), b(1), b(2); b's copies
+	// each receive from a copy of a.
+	for _, tc := range []struct {
+		name   string
+		mutate func(in *jsonSchedule)
+	}{
+		{"copy 7 at eps 1", func(in *jsonSchedule) { in.Replicas[0].Copy = 7 }},
+		{"copy -1", func(in *jsonSchedule) { in.Replicas[0].Copy = -1 }},
+		{"task 999", func(in *jsonSchedule) { in.Replicas[0].Task = 999 }},
+		{"task -1", func(in *jsonSchedule) { in.Replicas[0].Task = -1 }},
+		{"proc 999", func(in *jsonSchedule) { in.Replicas[0].Proc = 999 }},
+		{"proc -1", func(in *jsonSchedule) { in.Replicas[0].Proc = -1 }},
+		{"replica listed twice", func(in *jsonSchedule) { in.Replicas[1] = in.Replicas[0] }},
+		{"replica appended twice", func(in *jsonSchedule) { in.Replicas = append(in.Replicas, in.Replicas[3]) }},
+		{"replica missing", func(in *jsonSchedule) { in.Replicas = in.Replicas[:3] }},
+		{"no replicas", func(in *jsonSchedule) { in.Replicas = nil }},
+		{"eps 2147483648", func(in *jsonSchedule) { in.Eps = 2147483648 }},
+		{"eps equals procs", func(in *jsonSchedule) { in.Eps = 4 }},
+		{"eps -1", func(in *jsonSchedule) { in.Eps = -1 }},
+		{"input from a non-predecessor", func(in *jsonSchedule) { in.Replicas[2].In[0].FromTask = 1 }},
+		{"input from task 999", func(in *jsonSchedule) { in.Replicas[2].In[0].FromTask = 999 }},
+		{"input from task -1", func(in *jsonSchedule) { in.Replicas[2].In[0].FromTask = -1 }},
+		{"input from copy 2 at eps 1", func(in *jsonSchedule) { in.Replicas[2].In[0].FromCopy = 2 }},
+		{"input into a source task", func(in *jsonSchedule) {
+			in.Replicas[0].In = []jsonComm{{FromTask: 1, FromCopy: 0, Volume: 2, Start: 0, Finish: 0}}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var in jsonSchedule
+			if err := json.Unmarshal(data, &in); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(&in)
+			bad, err := json.Marshal(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := LoadJSON(bad, s.G, s.P); err == nil {
+				t.Fatalf("malformed schedule accepted with %d replicas", len(got.All()))
+			}
+		})
+	}
+}

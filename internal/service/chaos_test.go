@@ -127,8 +127,11 @@ func TestBatchFollowerSurvivesForeignPanic(t *testing.T) {
 // entry in the spilled snapshot, byte-identical, and a restart serves all
 // of them as cache hits without a solver call.
 func TestDrainUnderLoadLosesNoCommittedEntries(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	faultinject.Enable(SiteFlightSlow, faultinject.Always().WithParam("2ms"))
 	snap := filepath.Join(t.TempDir(), "cache.snap")
-	srv := New(Config{Workers: 4, QueueLimit: 64, SnapshotPath: snap, SnapshotInterval: -1, SolveDelay: 2 * time.Millisecond})
+	srv := New(Config{Workers: 4, QueueLimit: 64, SnapshotPath: snap, SnapshotInterval: -1})
 	if _, _, err := srv.WarmStart(); err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"streamsched/internal/core"
 	"streamsched/internal/dag"
@@ -119,31 +118,12 @@ func NewHandle(cfg Config) *Handle {
 		h.life.Store(lifeReady)
 	}
 	h.solve = func(ctx context.Context, sv *core.Solver, g *dag.Graph, p *platform.Platform) (*schedule.Schedule, error) {
-		if err := h.debugDelay(ctx); err != nil {
-			return nil, err
-		}
 		return sv.Solve(ctx, g, p)
 	}
 	h.replan = func(ctx context.Context, sv *core.Solver, old *schedule.Schedule, d core.Delta, opts ...core.ReplanOption) (*core.ReplanResult, error) {
-		if err := h.debugDelay(ctx); err != nil {
-			return nil, err
-		}
 		return sv.Replan(ctx, old, d, opts...)
 	}
 	return h
-}
-
-// debugDelay sleeps the configured SolveDelay (load/smoke testing only).
-func (h *Handle) debugDelay(ctx context.Context) error {
-	if h.cfg.SolveDelay <= 0 {
-		return nil
-	}
-	select {
-	case <-time.After(h.cfg.SolveDelay):
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // Metrics returns a point-in-time snapshot of the service counters.

@@ -3,8 +3,9 @@ package service
 // /v1/replan end-to-end tests. The acceptance properties pinned here:
 // a replan round-trips (200 with a schedule, a summary and the repair
 // statistics; the repeat is a cache hit), malformed requests — unsupported
-// schema version, options/schedule mismatch, invalid delta, negative
-// budget — are 400s decided before any work is admitted, an exceeded
+// schema version, options/schedule mismatch, a structurally broken
+// schedule, invalid delta, negative budget — are 400s decided before any
+// work is admitted, an exceeded
 // budget with the cold fallback disabled is a 409, N concurrent identical
 // replans coalesce into exactly one underlying computation, and replan
 // and solve traffic share the cache without poisoning each other's
@@ -116,6 +117,34 @@ func TestReplanRejectsMalformedRequests(t *testing.T) {
 	defer ts.Close()
 
 	good := replanRequest(t, 2, PlatformDelta{Speed: []ProcSpeed{{Proc: 1, Speed: 2}}})
+	// badSchedule rewrites the committed schedule; rep is the first replica
+	// that receives an input, which in the chain instance is not a source.
+	badSchedule := func(f func(sched, rep map[string]any)) func() ReplanRequest {
+		return func() ReplanRequest {
+			var sched map[string]any
+			if err := json.Unmarshal(good.Schedule, &sched); err != nil {
+				t.Fatal(err)
+			}
+			var rep map[string]any
+			for _, r := range sched["replicas"].([]any) {
+				if in, _ := r.(map[string]any)["in"].([]any); len(in) > 0 {
+					rep = r.(map[string]any)
+					break
+				}
+			}
+			if rep == nil {
+				t.Fatal("no replica with an input transfer")
+			}
+			f(sched, rep)
+			raw, err := json.Marshal(sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := good
+			r.Schedule = raw
+			return r
+		}
+	}
 	cases := map[string]func() ReplanRequest{
 		"bad version": func() ReplanRequest { r := good; r.SchemaVersion = 99; return r },
 		"no schedule": func() ReplanRequest { r := good; r.Schedule = nil; return r },
@@ -130,6 +159,24 @@ func TestReplanRejectsMalformedRequests(t *testing.T) {
 			return r
 		},
 		"negative budget": func() ReplanRequest { r := good; r.RepairBudget = -1; return r },
+		// Structurally broken committed schedules are refused while
+		// decoding: no panic inside the handler, no solve, and no ε taken
+		// from the body sizes an allocation.
+		"schedule copy 7 at eps 1": badSchedule(func(_, rep map[string]any) { rep["copy"] = 7 }),
+		"schedule task 999":        badSchedule(func(_, rep map[string]any) { rep["task"] = 999 }),
+		"schedule task -1":         badSchedule(func(_, rep map[string]any) { rep["task"] = -1 }),
+		"schedule proc 999":        badSchedule(func(_, rep map[string]any) { rep["proc"] = 999 }),
+		"schedule replica listed twice": badSchedule(func(sched, rep map[string]any) {
+			sched["replicas"] = append(sched["replicas"].([]any), rep)
+		}),
+		"schedule replica missing": badSchedule(func(sched, _ map[string]any) {
+			reps := sched["replicas"].([]any)
+			sched["replicas"] = reps[:len(reps)-1]
+		}),
+		"schedule eps 2147483648": badSchedule(func(sched, _ map[string]any) { sched["eps"] = 2147483648 }),
+		"schedule input from a non-predecessor": badSchedule(func(_, rep map[string]any) {
+			rep["in"].([]any)[0].(map[string]any)["fromTask"] = rep["task"]
+		}),
 	}
 	for name, build := range cases {
 		resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/replan", build())
@@ -143,6 +190,9 @@ func TestReplanRejectsMalformedRequests(t *testing.T) {
 				t.Errorf("bad version error %q does not start with the stable token %q", rr.Error, ReasonUnsupportedSchema)
 			}
 		}
+	}
+	if m := srv.Metrics(); m.Panics != 0 || m.SolveCalls != 0 {
+		t.Fatalf("panics = %d, solveCalls = %d after malformed requests, want 0 and 0", m.Panics, m.SolveCalls)
 	}
 }
 

@@ -59,10 +59,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// RetryAfter is the hint attached to 429 responses (≤0 → 1s).
 	RetryAfter time.Duration
-	// SolveDelay artificially delays every underlying solve and replan. It
-	// exists for load and smoke testing (deterministic 429/coalescing
-	// scenarios); production configs leave it zero.
-	SolveDelay time.Duration
 	// SnapshotPath enables persistent cache spill + warm start (DESIGN.md
 	// §11): the LRU is written here on drain and every SnapshotInterval,
 	// and replayed by WarmStart. Empty disables persistence.

@@ -24,6 +24,7 @@ import (
 
 	"streamsched/internal/core"
 	"streamsched/internal/dag"
+	"streamsched/internal/faultinject"
 	"streamsched/internal/infeas"
 	"streamsched/internal/obs"
 	"streamsched/internal/platform"
@@ -457,7 +458,10 @@ func TestInfeasibleSolveReturns409WithReason(t *testing.T) {
 }
 
 func TestSolveDeadlineReturns504(t *testing.T) {
-	srv := New(Config{SolveDelay: 5 * time.Second})
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	faultinject.Enable(SiteFlightSlow, faultinject.Always().WithParam("5s"))
+	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

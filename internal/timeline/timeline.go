@@ -4,11 +4,10 @@
 // schedulers place work with an insertion-based policy: a reservation may
 // fill any gap large enough, not only the region after the last interval.
 //
-// Queries (EarliestGap, EarliestCommonGap) never mutate. Reservations can
-// be transactional: a journaled timeline (EnableJournal) records an undo
-// entry per Reserve, and Rollback(mark) rewinds in O(changes) — the
-// schedulers' trial placements and retry ladders reserve directly and roll
-// back instead of working on deep copies (DESIGN.md §7, "Transactional
+// A Timeline is a plain sorted interval set. Queries (EarliestGap,
+// EarliestCommonGap) never mutate. Reserve returns the index it inserted
+// at, and RemoveAt withdraws it again: the one-port layer journals those
+// indices to roll trial placements back (DESIGN.md §7, "Transactional
 // timelines").
 package timeline
 
@@ -34,96 +33,9 @@ func (iv Interval) Overlaps(other Interval) bool {
 
 // Timeline is a set of disjoint busy intervals sorted by start time.
 // The zero value is an empty, ready-to-use timeline.
-//
-// A timeline can additionally keep a journal (EnableJournal): every Reserve
-// then appends an undo record, and Rollback(mark) rewinds to an earlier
-// Mark in O(changes) — the transactional primitive the schedulers' trial
-// and retry machinery is built on. Journaled or not, a timeline maintains a
-// mutation sequence number (Seq) and a one-entry availability-head memo:
-// the placement loops re-ask EarliestGap with identical arguments many
-// times between mutations (candidate sweeps, the EarliestCommonGap
-// convergence pass), and the memo answers those repeats without walking the
-// busy list.
 type Timeline struct {
 	busy []Interval
-
-	// journal records one undo entry per Reserve while journaling is
-	// enabled; seqSrc is the owner's shared mutation counter (nil when the
-	// timeline is not journaled).
-	journal []undoRec
-	seqSrc  *uint64
-	// seq identifies the current contents: it takes a fresh value from
-	// seqSrc (or a local increment) on every mutation, and Rollback restores
-	// the value recorded before each undone mutation. Because counter values
-	// are never reissued and a restored value always accompanies the exact
-	// contents it was assigned for, (timeline, seq) pairs identify timeline
-	// contents even across rollbacks — which is what lets availability
-	// caches survive trial transactions.
-	seq uint64
-
-	// One-entry availability-head memo for EarliestGap, valid while seq is
-	// unchanged.
-	memoReady, memoDur, memoStart float64
-	memoSeq                       uint64
-	memoOK                        bool
 }
-
-// undoRec reverses one Reserve: the interval sits at idx, and prevSeq was
-// the sequence number before the insertion.
-type undoRec struct {
-	prevSeq uint64
-	idx     int32
-}
-
-// EnableJournal turns on undo journaling, drawing mutation sequence numbers
-// from the shared counter seqSrc (one counter per owning system keeps the
-// numbers unique across its timelines without atomics). It must be called
-// before any reservation; enabling a journal mid-life would leave earlier
-// mutations unrecoverable.
-func (tl *Timeline) EnableJournal(seqSrc *uint64) {
-	if len(tl.busy) != 0 {
-		panic("timeline: EnableJournal on a non-empty timeline")
-	}
-	tl.seqSrc = seqSrc
-}
-
-// Seq returns the mutation sequence number identifying the current
-// contents. Caches keyed on (timeline, Seq) stay valid across rollbacks:
-// Rollback restores the number alongside the contents it was assigned for.
-func (tl *Timeline) Seq() uint64 { return tl.seq }
-
-// bump assigns a fresh sequence number after a mutation.
-func (tl *Timeline) bump() {
-	if tl.seqSrc != nil {
-		*tl.seqSrc++
-		tl.seq = *tl.seqSrc
-	} else {
-		tl.seq++
-	}
-}
-
-// Mark returns the current journal position for a later Rollback.
-func (tl *Timeline) Mark() int { return len(tl.journal) }
-
-// Rollback undoes every journaled reservation made since mark, most recent
-// first, in O(changes). Marks must be rolled back LIFO; a mark past the
-// journal panics rather than silently resurrecting undone entries.
-//
-//streamsched:hotpath
-func (tl *Timeline) Rollback(mark int) {
-	if mark < 0 || mark > len(tl.journal) {
-		panic("timeline: rollback to a mark past the journal (non-LIFO mark use)")
-	}
-	for k := len(tl.journal) - 1; k >= mark; k-- {
-		rec := tl.journal[k]
-		tl.busy = slices.Delete(tl.busy, int(rec.idx), int(rec.idx)+1)
-		tl.seq = rec.prevSeq
-	}
-	tl.journal = tl.journal[:mark]
-}
-
-// Undo reverses the most recent journaled reservation.
-func (tl *Timeline) Undo() { tl.Rollback(len(tl.journal) - 1) }
 
 // Busy returns the busy intervals in increasing start order. The returned
 // slice aliases internal state and must not be modified.
@@ -149,12 +61,8 @@ func (tl *Timeline) Horizon() float64 {
 	return tl.busy[len(tl.busy)-1].End
 }
 
-// Reset removes all reservations and journal history.
-func (tl *Timeline) Reset() {
-	tl.busy = tl.busy[:0]
-	tl.journal = tl.journal[:0]
-	tl.bump()
-}
+// Reset removes all reservations.
+func (tl *Timeline) Reset() { tl.busy = tl.busy[:0] }
 
 // eps absorbs floating-point jitter when comparing interval endpoints:
 // a gap is accepted if it is at least (duration - eps) long.
@@ -166,12 +74,6 @@ const eps = 1e-9
 func (tl *Timeline) EarliestGap(ready, dur float64) float64 {
 	if dur < 0 {
 		panic(fmt.Sprintf("timeline: negative duration %v", dur))
-	}
-	// Availability-head memo: identical queries repeat between mutations —
-	// the EarliestCommonGap fixpoint re-verifies its answer, and candidate
-	// sweeps re-ask the same (ready, dur) per processor pass.
-	if tl.memoOK && tl.memoSeq == tl.seq && tl.memoReady == ready && tl.memoDur == dur {
-		return tl.memoStart
 	}
 	s := ready
 	// Locate the first busy interval that could constrain s.
@@ -185,8 +87,6 @@ func (tl *Timeline) EarliestGap(ready, dur float64) float64 {
 			s = iv.End
 		}
 	}
-	tl.memoOK, tl.memoSeq = true, tl.seq
-	tl.memoReady, tl.memoDur, tl.memoStart = ready, dur, s
 	return s
 }
 
@@ -200,32 +100,29 @@ func (tl *Timeline) FitsAt(s, dur float64) bool {
 	return true
 }
 
-// Reserve inserts a busy interval. It returns an error if the interval
-// overlaps an existing reservation or has negative length. Zero-length
-// intervals are accepted and ignored.
+// Reserve inserts a busy interval and returns the index it now occupies,
+// for a later RemoveAt. It returns an error if the interval overlaps an
+// existing reservation or has negative length. Zero-length intervals are
+// accepted and ignored; their index is −1.
 //
 //streamsched:hotpath
-func (tl *Timeline) Reserve(iv Interval) error {
+func (tl *Timeline) Reserve(iv Interval) (int, error) {
 	if iv.End < iv.Start {
-		return errInvalidInterval(iv)
+		return -1, errInvalidInterval(iv)
 	}
 	if iv.Len() == 0 {
-		return nil
+		return -1, nil
 	}
 	i := sort.Search(len(tl.busy), func(k int) bool { return tl.busy[k].Start >= iv.Start })
 	// Check neighbours for overlap, tolerating eps-sized numerical overlap.
 	if i > 0 && tl.busy[i-1].End > iv.Start+eps {
-		return errOverlap(iv, tl.busy[i-1])
+		return -1, errOverlap(iv, tl.busy[i-1])
 	}
 	if i < len(tl.busy) && tl.busy[i].Start < iv.End-eps {
-		return errOverlap(iv, tl.busy[i])
-	}
-	if tl.seqSrc != nil {
-		tl.journal = append(tl.journal, undoRec{prevSeq: tl.seq, idx: int32(i)})
+		return -1, errOverlap(iv, tl.busy[i])
 	}
 	tl.busy = slices.Insert(tl.busy, i, iv)
-	tl.bump()
-	return nil
+	return i, nil
 }
 
 // Cold error constructors keep message formatting out of Reserve, whose
@@ -240,11 +137,21 @@ func errOverlap(iv, busy Interval) error {
 
 // MustReserve is Reserve but panics on error; used where the caller has
 // already validated the slot via EarliestGap/FitsAt.
-func (tl *Timeline) MustReserve(iv Interval) {
-	if err := tl.Reserve(iv); err != nil {
+func (tl *Timeline) MustReserve(iv Interval) int {
+	i, err := tl.Reserve(iv)
+	if err != nil {
 		panic(err)
 	}
+	return i
 }
+
+// RemoveAt withdraws the interval at index i, as returned by Reserve. The
+// index stays valid while removals unwind the most recent reservation
+// first: every later insertion has been removed by then, so none has
+// shifted it.
+//
+//streamsched:hotpath
+func (tl *Timeline) RemoveAt(i int) { tl.busy = slices.Delete(tl.busy, i, i+1) }
 
 // EarliestCommonGap returns the earliest s ≥ ready such that [s, s+dur) is
 // simultaneously free on every timeline in tls. This is the placement

@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +11,7 @@ import (
 
 func mustReserve(t *testing.T, tl *Timeline, start, end float64) {
 	t.Helper()
-	if err := tl.Reserve(Interval{Start: start, End: end}); err != nil {
+	if _, err := tl.Reserve(Interval{Start: start, End: end}); err != nil {
 		t.Fatalf("Reserve(%v,%v): %v", start, end, err)
 	}
 }
@@ -93,10 +94,10 @@ func TestNegativeDurationPanics(t *testing.T) {
 func TestReserveRejectsOverlap(t *testing.T) {
 	var tl Timeline
 	mustReserve(t, &tl, 0, 10)
-	if err := tl.Reserve(Interval{Start: 5, End: 15}); err == nil {
+	if _, err := tl.Reserve(Interval{Start: 5, End: 15}); err == nil {
 		t.Fatal("expected overlap error")
 	}
-	if err := tl.Reserve(Interval{Start: -5, End: 1}); err == nil {
+	if _, err := tl.Reserve(Interval{Start: -5, End: 1}); err == nil {
 		t.Fatal("expected overlap error (left)")
 	}
 }
@@ -113,15 +114,19 @@ func TestReserveAdjacentOK(t *testing.T) {
 
 func TestReserveInverted(t *testing.T) {
 	var tl Timeline
-	if err := tl.Reserve(Interval{Start: 5, End: 3}); err == nil {
+	if _, err := tl.Reserve(Interval{Start: 5, End: 3}); err == nil {
 		t.Fatal("expected error for inverted interval")
 	}
 }
 
 func TestReserveZeroLengthIgnored(t *testing.T) {
 	var tl Timeline
-	if err := tl.Reserve(Interval{Start: 5, End: 5}); err != nil {
+	i, err := tl.Reserve(Interval{Start: 5, End: 5})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if i != -1 {
+		t.Fatalf("zero-length interval got index %d, want -1", i)
 	}
 	if tl.Len() != 0 {
 		t.Fatalf("zero-length interval stored, Len=%d", tl.Len())
@@ -258,7 +263,7 @@ func TestReserveSequenceProperty(t *testing.T) {
 			ready := r.Uniform(0, 50)
 			dur := r.Uniform(0, 5)
 			s := tl.EarliestGap(ready, dur)
-			if err := tl.Reserve(Interval{Start: s, End: s + dur}); err != nil {
+			if _, err := tl.Reserve(Interval{Start: s, End: s + dur}); err != nil {
 				return false
 			}
 		}
@@ -331,124 +336,97 @@ func BenchmarkReserve(b *testing.B) {
 	}
 }
 
-func TestJournalRollback(t *testing.T) {
-	var seq uint64
-	var tl Timeline
-	tl.EnableJournal(&seq)
-	keep := Interval{Start: 0, End: 1}
-	tl.MustReserve(keep)
-	mark := tl.Mark()
-	// Insert around the kept interval so rollback must delete mid-slice.
-	tl.MustReserve(Interval{Start: 4, End: 5})
-	tl.MustReserve(Interval{Start: 2, End: 3})
-	tl.MustReserve(Interval{Start: 6, End: 7})
-	if tl.Len() != 4 {
-		t.Fatalf("Len = %d before rollback", tl.Len())
-	}
-	tl.Rollback(mark)
-	if tl.Len() != 1 || tl.Busy()[0] != keep {
-		t.Fatalf("rollback left %+v", tl.Busy())
-	}
-	if tl.Mark() != mark {
-		t.Fatalf("journal position %d after rollback to %d", tl.Mark(), mark)
-	}
-	if err := tl.Validate(); err != nil {
+// journal is the caller-side undo log the one-port layer keeps: the index
+// each non-empty Reserve returned, unwound most recent first by RemoveAt.
+type journal []int
+
+func (j *journal) reserve(t *testing.T, tl *Timeline, iv Interval) int {
+	t.Helper()
+	i, err := tl.Reserve(iv)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if i >= 0 {
+		*j = append(*j, i)
+	}
+	return i
+}
+
+func (j *journal) rollback(tl *Timeline, mark int) {
+	for len(*j) > mark {
+		last := len(*j) - 1
+		tl.RemoveAt((*j)[last])
+		*j = (*j)[:last]
+	}
+}
+
+// TestJournalRollback reserves around kept intervals so that later
+// insertions land before and between earlier ones, then rolls them back
+// most recent first by the indices Reserve returned: each index must still
+// name its interval when its turn comes.
+func TestJournalRollback(t *testing.T) {
+	var tl Timeline
+	var j journal
+	keep := Interval{Start: 0, End: 1}
+	j.reserve(t, &tl, Interval{Start: 8, End: 9})
+	j.reserve(t, &tl, keep)
+	mark := len(j)
+	ivs := []Interval{{Start: 4, End: 5}, {Start: 2, End: 3}, {Start: 6, End: 7}, {Start: -2, End: -1}}
+	for _, iv := range ivs {
+		i := j.reserve(t, &tl, iv)
+		if got := tl.Busy()[i]; got != iv {
+			t.Fatalf("Reserve(%v) returned index %d holding %v", iv, i, got)
+		}
+	}
+	if want := []int{1, 1, 3, 0}; !slices.Equal(j[mark:], want) {
+		t.Fatalf("insertion indices %v, want %v", j[mark:], want)
+	}
+	for k := len(ivs) - 1; k >= 0; k-- {
+		if got := tl.Busy()[j[mark+k]]; got != ivs[k] {
+			t.Fatalf("index %d holds %v before its removal, want %v", j[mark+k], got, ivs[k])
+		}
+		j.rollback(&tl, mark+k)
+		if err := tl.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []Interval{keep, {Start: 8, End: 9}}; !slices.Equal(tl.Busy(), want) {
+		t.Fatalf("rollback left %+v, want %+v", tl.Busy(), want)
+	}
+	if len(j) != mark {
+		t.Fatalf("journal position %d after rollback to %d", len(j), mark)
 	}
 }
 
 func TestJournalUndoIsLIFO(t *testing.T) {
-	var seq uint64
 	var tl Timeline
-	tl.EnableJournal(&seq)
-	tl.MustReserve(Interval{Start: 2, End: 3})
-	tl.MustReserve(Interval{Start: 0, End: 1})
-	tl.Undo() // must remove [0,1), the most recent reservation
+	var j journal
+	j.reserve(t, &tl, Interval{Start: 2, End: 3})
+	j.reserve(t, &tl, Interval{Start: 0, End: 1})
+	j.rollback(&tl, len(j)-1) // must remove [0,1), the most recent reservation
 	busy := tl.Busy()
 	if len(busy) != 1 || busy[0].Start != 2 {
-		t.Fatalf("Undo removed the wrong interval: %+v", busy)
+		t.Fatalf("undo removed the wrong interval: %+v", busy)
 	}
 }
 
+// TestZeroLengthReserveNotJournaled checks that a zero-length Reserve
+// returns index −1, so the caller journals nothing and a rollback past it
+// removes only real reservations.
 func TestZeroLengthReserveNotJournaled(t *testing.T) {
-	var seq uint64
 	var tl Timeline
-	tl.EnableJournal(&seq)
-	if tl.Mark() != 0 {
-		t.Fatal("fresh journal not empty")
+	var j journal
+	j.reserve(t, &tl, Interval{Start: 0, End: 1})
+	mark := len(j)
+	if i := j.reserve(t, &tl, Interval{Start: 5, End: 5}); i != -1 {
+		t.Fatalf("zero-length reservation got index %d, want -1", i)
 	}
-	tl.MustReserve(Interval{Start: 5, End: 5})
-	if tl.Mark() != 0 {
+	if len(j) != mark {
 		t.Fatal("zero-length reservation was journaled")
 	}
-}
-
-func TestSeqRestoredOnRollback(t *testing.T) {
-	var seq uint64
-	var tl Timeline
-	tl.EnableJournal(&seq)
-	tl.MustReserve(Interval{Start: 0, End: 1})
-	want := tl.Seq()
-	mark := tl.Mark()
-	tl.MustReserve(Interval{Start: 2, End: 3})
-	if tl.Seq() == want {
-		t.Fatal("mutation did not change Seq")
+	j.reserve(t, &tl, Interval{Start: 2, End: 3})
+	j.rollback(&tl, mark)
+	if want := []Interval{{Start: 0, End: 1}}; !slices.Equal(tl.Busy(), want) {
+		t.Fatalf("rollback left %+v, want %+v", tl.Busy(), want)
 	}
-	tl.Rollback(mark)
-	if tl.Seq() != want {
-		t.Fatalf("Seq = %d after rollback, want %d", tl.Seq(), want)
-	}
-}
-
-func TestSeqValuesNeverReissued(t *testing.T) {
-	// The counter keeps rising across rollbacks, so a (timeline, Seq) pair
-	// observed once always identifies the same contents — the soundness
-	// argument of the availability caches.
-	var seq uint64
-	var tl Timeline
-	tl.EnableJournal(&seq)
-	seen := map[uint64]int{}
-	mark := tl.Mark()
-	for i := 0; i < 10; i++ {
-		tl.MustReserve(Interval{Start: float64(2 * i), End: float64(2*i) + 1})
-		if n, dup := seen[tl.Seq()]; dup && n != tl.Len() {
-			t.Fatalf("Seq %d reissued for different contents", tl.Seq())
-		}
-		seen[tl.Seq()] = tl.Len()
-		if i%3 == 2 {
-			tl.Rollback(mark)
-		}
-	}
-}
-
-func TestEarliestGapMemo(t *testing.T) {
-	var tl Timeline
-	tl.MustReserve(Interval{Start: 1, End: 3})
-	if g := tl.EarliestGap(0, 2); g != 3 {
-		t.Fatalf("gap = %v", g)
-	}
-	if g := tl.EarliestGap(0, 2); g != 3 {
-		t.Fatalf("memoized gap = %v", g)
-	}
-	// A mutation must invalidate the memo.
-	tl.MustReserve(Interval{Start: 3, End: 4})
-	if g := tl.EarliestGap(0, 2); g != 4 {
-		t.Fatalf("gap after mutation = %v (stale memo?)", g)
-	}
-	tl.Reset()
-	if g := tl.EarliestGap(0, 2); g != 0 {
-		t.Fatalf("gap after reset = %v (stale memo?)", g)
-	}
-}
-
-func TestEnableJournalNonEmptyPanics(t *testing.T) {
-	var tl Timeline
-	tl.MustReserve(Interval{Start: 0, End: 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic enabling a journal on a non-empty timeline")
-		}
-	}()
-	var seq uint64
-	tl.EnableJournal(&seq)
 }

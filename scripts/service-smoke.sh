@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Service smoke: start a streamschedd with one worker, no queue and an
-# artificial solve delay, then walk the status paths the service contract
+# Service smoke: start a streamschedd with one worker, no queue and every
+# flight slowed by the service.flight.slow fault site, then walk the status paths the service contract
 # promises — 200 (solved), 200+cached (LRU hit), 409 (typed infeasibility),
 # 429+Retry-After (queue full) — and check /healthz and the /metrics
 # counters. Used by `make smoke` and the ci.yml service-smoke job, which
@@ -157,7 +157,7 @@ EOF
 	exit 0
 fi
 
-"$workdir/streamschedd" -addr "$ADDR" -workers 1 -queue 0 -debug-solve-delay "$DELAY" &
+"$workdir/streamschedd" -addr "$ADDR" -workers 1 -queue 0 -fault "service.flight.slow=always:$DELAY" &
 DPID=$!
 
 for _ in $(seq 1 100); do

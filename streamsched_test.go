@@ -8,9 +8,7 @@ import (
 	"streamsched"
 )
 
-// solveWith schedules through the core Solver API. The deprecated Problem
-// shim is exercised only by its dedicated façade test
-// (TestFacadeDeprecatedProblemShim).
+// solveWith schedules through the core Solver API.
 func solveWith(t *testing.T, algo streamsched.Algorithm, g *streamsched.Graph, p *streamsched.Platform, eps int, period float64) (*streamsched.Schedule, error) {
 	t.Helper()
 	solver, err := streamsched.NewSolver(
