@@ -1,32 +1,18 @@
 package service
 
-// Size-bounded LRU result cache. Values are solved outcomes — either a
-// schedule (with its interchange JSON rendered once at solve time, so hits
-// never re-marshal the schedule struct) or a classified infeasibility;
-// both are deterministic functions of the problem hash and therefore safe
-// to share across requests. Non-infeasibility errors (cancellation, solver
-// faults) are never cached.
+// Size-bounded LRU result cache. Values are the Outcomes the requests
+// return, less the per-request Hash, Cached and Coalesced that await sets
+// on its copy: either a schedule (with its interchange JSON rendered once
+// at solve time, so hits never re-marshal the schedule struct) or a
+// classified infeasibility, plus a replan's repair statistics. All are
+// deterministic functions of the key and therefore safe to share across
+// requests. Non-infeasibility errors (cancellation, solver faults) are
+// never cached.
 
 import (
 	"container/list"
 	"sync"
-
-	"streamsched/internal/core"
-	"streamsched/internal/infeas"
-	"streamsched/internal/schedule"
 )
-
-// outcome is the cacheable result of solving one problem: exactly one of
-// sched and infeas is set. replan is set on replan outcomes only — the
-// repair statistics are as deterministic a function of the replan hash as
-// the schedule itself, so they cache alongside it.
-type outcome struct {
-	sched     *schedule.Schedule
-	schedJSON []byte
-	summary   *ScheduleSummary
-	infeas    *infeas.Error
-	replan    *core.RepairStats
-}
 
 // lruCache is a plain mutex-guarded LRU: a map into an access-ordered
 // intrusive list. The service's hot path is Get on a warm cache — one map
@@ -38,9 +24,11 @@ type lruCache struct {
 	items    map[string]*list.Element
 }
 
+// lruEntry is one cached key and its outcome; a snapshot spills and
+// replays the same pairs (persist.go).
 type lruEntry struct {
 	key string
-	out outcome
+	out Outcome
 }
 
 func newLRUCache(capacity int) *lruCache {
@@ -52,12 +40,12 @@ func newLRUCache(capacity int) *lruCache {
 }
 
 // Get returns the cached outcome for key and marks it most recently used.
-func (c *lruCache) Get(key string) (outcome, bool) {
+func (c *lruCache) Get(key string) (Outcome, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return outcome{}, false
+		return Outcome{}, false
 	}
 	c.ll.MoveToFront(el)
 	return el.Value.(*lruEntry).out, true
@@ -65,7 +53,7 @@ func (c *lruCache) Get(key string) (outcome, bool) {
 
 // Put inserts (or refreshes) key, evicting the least recently used entry
 // beyond capacity.
-func (c *lruCache) Put(key string, out outcome) {
+func (c *lruCache) Put(key string, out Outcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

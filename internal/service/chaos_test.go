@@ -27,13 +27,13 @@ import (
 )
 
 // solveSpec decodes one SolveRequest into an in-process Spec.
-func solveSpec(t *testing.T, req SolveRequest) Spec {
+func solveSpec(t testing.TB, req SolveRequest) Spec {
 	t.Helper()
-	g, p, sv, err := buildProblem(req.Graph, req.Platform, req.Options)
+	sp, err := buildProblem(req.Graph, req.Platform, req.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Spec{Graph: g, Platform: p, Solver: sv}
+	return sp
 }
 
 // TestInjectedLeaderPanicIsolation pins the panic isolation contract: the
@@ -167,7 +167,7 @@ func TestDrainUnderLoadLosesNoCommittedEntries(t *testing.T) {
 	}
 	spilled := make(map[string][]byte, len(entries))
 	for _, e := range entries {
-		spilled[e.key] = e.out.schedJSON
+		spilled[e.key] = e.out.ScheduleJSON
 	}
 	var committed int
 	for i := 0; i < n; i++ {

@@ -17,19 +17,19 @@ import (
 type flight struct {
 	done chan struct{}
 	job  job
-	out  outcome
+	out  Outcome
 	err  error
 }
 
 // Wait blocks until the flight resolves or ctx is done. A waiter whose
 // context expires abandons the flight; the leader keeps computing for the
 // remaining waiters and the cache.
-func (f *flight) Wait(ctx context.Context) (outcome, error) {
+func (f *flight) Wait(ctx context.Context) (Outcome, error) {
 	select {
 	case <-f.done:
 		return f.out, f.err
 	case <-ctx.Done():
-		return outcome{}, ctx.Err()
+		return Outcome{}, ctx.Err()
 	}
 }
 
@@ -60,7 +60,7 @@ func (g *flightGroup) Claim(key string) (f *flight, leader bool) {
 
 // Fulfill resolves the flight and removes it from the group; later
 // requests for the same key consult the cache or start a fresh flight.
-func (g *flightGroup) Fulfill(key string, f *flight, out outcome, err error) {
+func (g *flightGroup) Fulfill(key string, f *flight, out Outcome, err error) {
 	f.out, f.err = out, err
 	g.mu.Lock()
 	delete(g.m, key)

@@ -167,13 +167,15 @@ func (sp ReplanSpec) validate() error {
 	return nil
 }
 
-// Outcome is the in-process result of Solve, Replan or Simulate's solve.
-// Exactly one of ScheduleJSON (with Summary) and Infeasible is set.
+// Outcome is the in-process result of Solve, Replan or Simulate's solve,
+// and the value the cache, the flights and the snapshot carry. Exactly one
+// of ScheduleJSON (with Summary) and Infeasible is set.
 type Outcome struct {
-	// Hash is the canonical cache key of the request.
-	Hash string
-	// Cached reports an LRU hit; Coalesced that the call piggybacked on an
-	// identical in-flight computation.
+	// Hash is the canonical cache key of the request. Cached reports an
+	// LRU hit; Coalesced that the call piggybacked on an identical
+	// in-flight computation. The three describe one request: await sets
+	// them on the copy it returns, and stored outcomes leave them zero.
+	Hash      string
 	Cached    bool
 	Coalesced bool
 	// Schedule is the result; ScheduleJSON its interchange rendering,
@@ -193,20 +195,6 @@ type Outcome struct {
 type BatchResult struct {
 	Outcome Outcome
 	Err     error
-}
-
-// publish converts an internal outcome to the public form.
-func publish(out outcome, hash string, state hitState) Outcome {
-	return Outcome{
-		Hash:         hash,
-		Cached:       state == hitCache,
-		Coalesced:    state == hitCoalesced,
-		Schedule:     out.sched,
-		ScheduleJSON: out.schedJSON,
-		Summary:      out.summary,
-		Infeasible:   out.infeas,
-		Replan:       out.replan,
-	}
 }
 
 // ---- public pipeline entry points ---------------------------------------
@@ -261,13 +249,14 @@ func (h *Handle) SolveBatch(ctx context.Context, specs []Spec) []BatchResult {
 // the scenario sweep on one reused sim.Engine as its own admitted work
 // unit. The two acquisitions are sequential, never nested, so a
 // one-worker handle cannot deadlock against its own solve. Empty
-// scenarios run one default scenario; crash processors must index the
-// platform. An infeasible problem returns its Outcome and no results.
+// scenarios run one default scenario; every scenario must pass
+// checkScenarios. An infeasible problem returns its Outcome and no
+// results.
 func (h *Handle) Simulate(ctx context.Context, sp Spec, scenarios []Scenario) (Outcome, []ScenarioResult, error) {
 	if err := sp.validate(); err != nil {
 		return Outcome{}, nil, err
 	}
-	if err := checkScenarios(scenarios, sp.Platform.NumProcs()); err != nil {
+	if err := checkScenarios(scenarios, sp); err != nil {
 		return Outcome{}, nil, err
 	}
 	out, err := h.Solve(ctx, sp)
@@ -313,10 +302,26 @@ func (h *Handle) Simulate(ctx context.Context, sp Spec, scenarios []Scenario) (O
 	return out, results, nil
 }
 
-// checkScenarios range-checks the crash processors: an out-of-range one
-// would index past the engine's per-processor state.
-func checkScenarios(scenarios []Scenario, procs int) error {
+// ReasonScenarioTooLarge is the stable leading token of the error message
+// rejecting a scenario with more items than maxScenarioSlots allows.
+const ReasonScenarioTooLarge = "scenario-too-large"
+
+// maxScenarioSlots bounds the items × exit tasks completion slots (float64,
+// so 32 MiB) that sim.Engine allocates before a run's first event.
+// sim.DefaultConfig's 3S+40 items stay far below it.
+const maxScenarioSlots = 1 << 22
+
+// checkScenarios rejects what the simulator must not be asked to run: more
+// items than maxScenarioSlots holds for the graph's exit tasks, which no
+// deadline could interrupt, or a crash processor outside the platform,
+// which would index past the engine's per-processor state.
+func checkScenarios(scenarios []Scenario, sp Spec) error {
+	procs := sp.Platform.NumProcs()
+	exits := max(len(sp.Graph.Exits()), 1)
 	for _, sc := range scenarios {
+		if sc.Items > maxScenarioSlots/exits {
+			return fmt.Errorf("%s: %d items × %d exit tasks exceed %d simulation slots", ReasonScenarioTooLarge, sc.Items, exits, maxScenarioSlots)
+		}
 		for _, u := range sc.CrashProcs {
 			if u < 0 || u >= procs {
 				return fmt.Errorf("service: crash processor %d out of range [0,%d)", u, procs)
@@ -386,7 +391,7 @@ const (
 type claimed struct {
 	state hitState
 	f     *flight
-	out   outcome
+	out   Outcome
 	err   error
 }
 
@@ -457,17 +462,12 @@ func (h *Handle) claim(j *job, sp obs.SpanRef, detach bool) claimed {
 // a deterministically panicking computation still surfaces.
 func (h *Handle) await(ctx context.Context, j *job, c claimed, sp obs.SpanRef) (Outcome, error) {
 	for attempt := 0; ; attempt++ {
-		if c.err != nil {
-			return Outcome{Hash: j.hash}, c.err
-		}
-		if c.f == nil {
-			return publish(c.out, j.hash, hitCache), nil
-		}
-		var out outcome
-		var err error
-		if c.state == hitSolved {
+		out, err := c.out, c.err
+		switch {
+		case c.f == nil: // a cache hit or a refusal: already resolved
+		case c.state == hitSolved:
 			out, err = c.f.Wait(ctx)
-		} else {
+		default:
 			cw := sp.Child("coalesce")
 			out, err = c.f.Wait(ctx)
 			cw.End()
@@ -479,7 +479,8 @@ func (h *Handle) await(ctx context.Context, j *job, c claimed, sp obs.SpanRef) (
 		if err != nil {
 			return Outcome{Hash: j.hash}, err
 		}
-		return publish(out, j.hash, c.state), nil
+		out.Hash, out.Cached, out.Coalesced = j.hash, c.state == hitCache, c.state == hitCoalesced
+		return out, nil
 	}
 }
 
@@ -524,7 +525,7 @@ func (h *Handle) leadBatch(claims []claimed, leads []int, sp obs.SpanRef) {
 	for k, i := range leads {
 		if err := results[k].Err; err != nil {
 			f := claims[i].f
-			h.flights.Fulfill(f.job.hash, f, outcome{}, err)
+			h.flights.Fulfill(f.job.hash, f, Outcome{}, err)
 		}
 	}
 }
@@ -554,18 +555,18 @@ func (h *Handle) fly(ctx context.Context, f *flight, sp obs.SpanRef) {
 // hashes compute once" invariant — then admits, computes, folds typed
 // infeasibility into the outcome (a result, not a failure), renders, and
 // fills the cache.
-func (h *Handle) resolve(ctx context.Context, j *job) (out outcome, err error) {
+func (h *Handle) resolve(ctx context.Context, j *job) (out Outcome, err error) {
 	defer h.recoverFault(&err)
 	if out, ok := h.cache.Get(j.hash); ok {
 		return out, nil
 	}
 	release, err := h.admit(ctx)
 	if err != nil {
-		return outcome{}, err
+		return Outcome{}, err
 	}
 	defer release()
 	if err := h.injectFlightFaults(ctx); err != nil {
-		return outcome{}, err
+		return Outcome{}, err
 	}
 	// Replans count as solver invocations too: the coalescing and caching
 	// invariants are asserted against solveCalls.
@@ -583,7 +584,7 @@ func (h *Handle) resolve(ctx context.Context, j *job) (out outcome, err error) {
 		rs := sp.Child("render")
 		out, err = renderOutcome(sched)
 		rs.End()
-		out.replan = stats
+		out.Replan = stats
 	}
 	if err == nil {
 		h.cache.Put(j.hash, out)
@@ -593,25 +594,25 @@ func (h *Handle) resolve(ctx context.Context, j *job) (out outcome, err error) {
 
 // foldInfeasible converts an infeasibility error into a cacheable outcome;
 // any other error propagates.
-func foldInfeasible(err error) (outcome, error) {
+func foldInfeasible(err error) (Outcome, error) {
 	var ie *infeas.Error
 	if errors.As(err, &ie) {
-		return outcome{infeas: ie}, nil
+		return Outcome{Infeasible: ie}, nil
 	}
 	if errors.Is(err, infeas.ErrInfeasible) {
-		return outcome{infeas: infeas.New(infeas.ReasonUnknown, 0, err.Error())}, nil
+		return Outcome{Infeasible: infeas.New(infeas.ReasonUnknown, 0, err.Error())}, nil
 	}
-	return outcome{}, err
+	return Outcome{}, err
 }
 
 // renderOutcome serializes the schedule once, at solve time; cache hits
 // reuse the rendered bytes instead of re-marshalling the schedule struct.
-func renderOutcome(sched *schedule.Schedule) (outcome, error) {
+func renderOutcome(sched *schedule.Schedule) (Outcome, error) {
 	raw, err := json.Marshal(sched)
 	if err != nil {
-		return outcome{}, fmt.Errorf("service: encoding schedule: %w", err)
+		return Outcome{}, fmt.Errorf("service: encoding schedule: %w", err)
 	}
-	return outcome{sched: sched, schedJSON: raw, summary: summarize(sched)}, nil
+	return Outcome{Schedule: sched, ScheduleJSON: raw, Summary: summarize(sched)}, nil
 }
 
 // run performs the job's underlying computation: the solve, or the replan

@@ -11,6 +11,9 @@ package service
 // inside obs.FromContext.
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 
@@ -65,7 +68,7 @@ func (s *Server) traceMiddleware(next http.Handler) http.Handler {
 }
 
 // requestLogEntry assembles the structured log record for a finished
-// trace. Hash and outcome are root-span args stamped by the handlers
+// trace. Hash and outcome are root-span args stamped by the /v1 path
 // (setTraceOutcome).
 func requestLogEntry(tr *obs.Trace, r *http.Request, status int) RequestLogEntry {
 	e := RequestLogEntry{
@@ -124,14 +127,16 @@ func (w *timingWriter) Write(b []byte) (int, error) {
 // default, the Chrome trace-event form (load into chrome://tracing or
 // Perfetto) with ?format=chrome. 404 when tracing is disabled — the
 // endpoint existing-but-empty would read as "no traffic", which is wrong.
+// Its errors render in the envelope every other endpoint shares.
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	s.m.reqDebug.Add(1)
 	if r.Method != http.MethodGet {
-		s.writeJSON(w, http.StatusMethodNotAllowed, map[string]any{"error": "service: GET only"})
+		w.Header().Set("Allow", http.MethodGet)
+		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("service: %s requires GET", r.URL.Path))
 		return
 	}
 	if s.traces == nil {
-		s.writeJSON(w, http.StatusNotFound, map[string]any{"error": "service: tracing disabled"})
+		s.writeError(w, http.StatusNotFound, errors.New("service: tracing disabled"))
 		return
 	}
 	recent := s.traces.Snapshot()
@@ -142,13 +147,10 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		raw, err := trace.ChromeJSON(spans)
 		if err != nil {
-			s.writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
+			s.writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(raw)
-		s.m.countResponse(http.StatusOK)
+		s.writeJSON(w, http.StatusOK, json.RawMessage(raw))
 		return
 	}
 	docs := make([]obs.TraceJSON, len(recent))

@@ -217,6 +217,85 @@ func TestTracedSolveEndToEnd(t *testing.T) {
 	}
 }
 
+// TestEveryRouteTracesOneShape pins the one /v1 path's trace shape: every
+// route's root has decode and render children of its own, and the solve,
+// replan and simulate roots carry the hash prefix and outcome label.
+func TestEveryRouteTracesOneShape(t *testing.T) {
+	srv := New(Config{Tracing: true})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	base := feasibleRequest(7)
+	for _, tc := range []struct {
+		path    string
+		body    any
+		outcome string // "" for a batch, whose root carries its problem count
+	}{
+		{"/v1/solve", base, "solved"},
+		{"/v1/replan", replanRequest(t, 7, PlatformDelta{Speed: []ProcSpeed{{Proc: 1, Speed: 2}}}), "solved"},
+		{"/v1/batch", BatchRequest{Options: base.Options, Problems: []BatchProblem{{Graph: base.Graph, Platform: base.Platform}}}, ""},
+		{"/v1/simulate", SimulateRequest{Graph: base.Graph, Platform: base.Platform, Options: base.Options}, "simulated"},
+	} {
+		resp, data := postJSON(t, ts.Client(), ts.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d (%s)", tc.path, resp.StatusCode, data)
+		}
+		var doc struct{ Traces []obs.TraceJSON }
+		getJSON(t, ts, "/debug/traces", &doc)
+		if len(doc.Traces) == 0 || doc.Traces[0].ID != resp.Header.Get("X-Trace-Id") {
+			t.Fatalf("%s: trace %s is not the newest in the ring", tc.path, resp.Header.Get("X-Trace-Id"))
+		}
+		spans := doc.Traces[0].Spans
+		children := make(map[string]int)
+		for _, sp := range spans {
+			if sp.Parent == 0 {
+				children[sp.Name]++
+			}
+		}
+		if children["decode"] != 1 || children["render"] != 1 {
+			t.Errorf("%s: root children %v, want one decode and one render", tc.path, children)
+		}
+		root := spans[0].Args
+		if tc.outcome == "" {
+			if root["problems"] == nil {
+				t.Errorf("%s: root args %v, want the problem count", tc.path, root)
+			}
+			continue
+		}
+		if hash, _ := root["hash"].(string); len(hash) != 12 || root["outcome"] != tc.outcome {
+			t.Errorf("%s: root args %v, want a 12-character hash and outcome %q", tc.path, root, tc.outcome)
+		}
+	}
+}
+
+// TestDebugTracesErrorEnvelope pins /debug/traces' errors to the envelope
+// every other endpoint answers with: a non-GET is a 405 naming GET in
+// Allow, and an untraced handle answers 404.
+func TestDebugTracesErrorEnvelope(t *testing.T) {
+	for _, tc := range []struct {
+		tracing bool
+		method  string
+		status  int
+		allow   string
+	}{
+		{true, http.MethodPost, http.StatusMethodNotAllowed, http.MethodGet},
+		{false, http.MethodGet, http.StatusNotFound, ""},
+	} {
+		rec := httptest.NewRecorder()
+		New(Config{Tracing: tc.tracing}).Handler().ServeHTTP(rec, httptest.NewRequest(tc.method, "/debug/traces", nil))
+		var env map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatalf("%s /debug/traces: %v\n%s", tc.method, err, rec.Body)
+		}
+		if rec.Code != tc.status || rec.Header().Get("Allow") != tc.allow {
+			t.Errorf("%s /debug/traces: HTTP %d Allow %q, want %d Allow %q", tc.method, rec.Code, rec.Header().Get("Allow"), tc.status, tc.allow)
+		}
+		if msg, _ := env["error"].(string); len(env) != 2 || env["schemaVersion"] != float64(Version) || msg == "" {
+			t.Errorf("%s /debug/traces body %s, want the schemaVersion %d error envelope", tc.method, rec.Body, Version)
+		}
+	}
+}
+
 func TestTracingDisabledIsInvisible(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())

@@ -17,8 +17,9 @@ package service
 //	body:    u16 entryVersion | u16 keyLen | key | payload JSON
 //
 // All integers little-endian. The payload is the snapPayload JSON document
-// — the spilled outcome: the schedule's interchange bytes plus its
-// summary, or the classified infeasibility, plus optional repair stats.
+// — the cached Outcome the LRU holds: the schedule's interchange bytes
+// plus its summary, or the classified infeasibility, plus optional repair
+// stats. Spill and replay move the LRU's own (key, Outcome) entries.
 //
 // Replay is forgiving by construction: a truncated tail (crash mid-write,
 // torn disk) ends the replay with what decoded so far; a checksum
@@ -31,10 +32,10 @@ package service
 //
 // The in-memory *schedule.Schedule does not survive the spill (it would
 // drag the whole graph/platform object graph into the file); a replayed
-// entry carries only the rendered bytes. Solve and Replan serve those
-// bytes directly; Simulate rebuilds the schedule from them against the
-// request's decoded graph and platform when it needs the in-memory form
-// (see Handle.Simulate).
+// Outcome carries ScheduleJSON but no Schedule. Solve and Replan serve
+// those bytes directly; Simulate rebuilds the schedule from them against
+// the request's decoded graph and platform when it needs the in-memory
+// form (see Handle.Simulate).
 
 import (
 	"bytes"
@@ -69,20 +70,14 @@ var snapshotMagic = [8]byte{'S', 'S', 'C', 'H', 'S', 'N', 'A', 'P'}
 // cold.
 var errSnapshotHeader = errors.New("service: unusable snapshot header")
 
-// snapPayload is the JSON payload of one snapshot entry: the cacheable
-// outcome with the in-memory schedule reduced to its rendered bytes.
+// snapPayload is the JSON payload of one snapshot entry: the cached
+// Outcome with the in-memory schedule reduced to its rendered bytes.
 // Exactly one of Schedule and Infeasible is set.
 type snapPayload struct {
 	Schedule   json.RawMessage  `json:"schedule,omitempty"`
 	Summary    *ScheduleSummary `json:"summary,omitempty"`
 	Infeasible *Infeasible      `json:"infeasible,omitempty"`
 	Replan     *ReplanStats     `json:"replan,omitempty"`
-}
-
-// snapEntry is one decoded snapshot entry.
-type snapEntry struct {
-	key string
-	out outcome
 }
 
 // encodeSnapshot renders the cache entries (least recently used first)
@@ -95,11 +90,12 @@ func encodeSnapshot(entries []lruEntry) []byte {
 	buf.Write(u32[:])
 	var body bytes.Buffer
 	for i := range entries {
+		out := &entries[i].out
 		pl := snapPayload{
-			Schedule:   entries[i].out.schedJSON,
-			Summary:    entries[i].out.summary,
-			Infeasible: entries[i].out.infeas,
-			Replan:     replanStatsDTO(entries[i].out.replan),
+			Schedule:   out.ScheduleJSON,
+			Summary:    out.Summary,
+			Infeasible: out.Infeasible,
+			Replan:     replanStatsDTO(out.Replan),
 		}
 		payload, err := json.Marshal(pl)
 		if err != nil {
@@ -127,7 +123,7 @@ func encodeSnapshot(entries []lruEntry) []byte {
 // invalid payload are counted in skipped and passed over; a truncated or
 // length-corrupted tail ends the decode (counted as one skip); a foreign
 // magic or unknown file version returns errSnapshotHeader with no entries.
-func decodeSnapshot(data []byte) (entries []snapEntry, skipped int, err error) {
+func decodeSnapshot(data []byte) (entries []lruEntry, skipped int, err error) {
 	if len(data) < len(snapshotMagic)+4 || !bytes.Equal(data[:len(snapshotMagic)], snapshotMagic[:]) {
 		return nil, 1, errSnapshotHeader
 	}
@@ -163,44 +159,44 @@ func decodeSnapshot(data []byte) (entries []snapEntry, skipped int, err error) {
 }
 
 // decodeSnapEntry parses one checksum-verified entry body.
-func decodeSnapEntry(body []byte) (snapEntry, bool) {
+func decodeSnapEntry(body []byte) (lruEntry, bool) {
 	if len(body) < 4 {
-		return snapEntry{}, false
+		return lruEntry{}, false
 	}
 	if v := binary.LittleEndian.Uint16(body); v != snapEntryVersion {
-		return snapEntry{}, false // unknown entry version: written by a newer build
+		return lruEntry{}, false // unknown entry version: written by a newer build
 	}
 	keyLen := int(binary.LittleEndian.Uint16(body[2:]))
 	if keyLen == 0 || keyLen > maxSnapKey || 4+keyLen > len(body) {
-		return snapEntry{}, false
+		return lruEntry{}, false
 	}
 	key := string(body[4 : 4+keyLen])
 	var pl snapPayload
 	if err := json.Unmarshal(body[4+keyLen:], &pl); err != nil {
-		return snapEntry{}, false
+		return lruEntry{}, false
 	}
 	// Exactly one of schedule and infeasibility, and schedule entries must
 	// carry the summary their responses render.
 	if (len(pl.Schedule) == 0) == (pl.Infeasible == nil) {
-		return snapEntry{}, false
+		return lruEntry{}, false
 	}
 	if len(pl.Schedule) > 0 && pl.Summary == nil {
-		return snapEntry{}, false
+		return lruEntry{}, false
 	}
-	out := outcome{
-		schedJSON: pl.Schedule,
-		summary:   pl.Summary,
-		infeas:    pl.Infeasible,
+	out := Outcome{
+		ScheduleJSON: pl.Schedule,
+		Summary:      pl.Summary,
+		Infeasible:   pl.Infeasible,
 	}
 	if pl.Replan != nil {
-		out.replan = &core.RepairStats{
+		out.Replan = &core.RepairStats{
 			Replayed:  pl.Replan.Replayed,
 			Preserved: pl.Replan.Preserved,
 			Repaired:  pl.Replan.Repaired,
 			ColdSolve: pl.Replan.ColdSolve,
 		}
 	}
-	return snapEntry{key: key, out: out}, true
+	return lruEntry{key: key, out: out}, true
 }
 
 // SnapshotNow spills the current cache contents to the configured

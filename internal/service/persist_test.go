@@ -25,11 +25,7 @@ func snapTestEntries(t *testing.T, n int) []lruEntry {
 	h := NewHandle(Config{})
 	for i := 0; i < n; i++ {
 		req := feasibleRequest(float64(i + 1))
-		g, p, sv, err := buildProblem(req.Graph, req.Platform, req.Options)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := h.Solve(context.Background(), Spec{Graph: g, Platform: p, Solver: sv})
+		out, err := h.Solve(context.Background(), solveSpec(t, req))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,12 +33,7 @@ func snapTestEntries(t *testing.T, n int) []lruEntry {
 			t.Fatal("test problem unexpectedly infeasible")
 		}
 	}
-	req := infeasibleRequest()
-	g, p, sv, err := buildProblem(req.Graph, req.Platform, req.Options)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := h.Solve(context.Background(), Spec{Graph: g, Platform: p, Solver: sv})
+	out, err := h.Solve(context.Background(), solveSpec(t, infeasibleRequest()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +42,7 @@ func snapTestEntries(t *testing.T, n int) []lruEntry {
 	}
 	entries := h.cache.entries()
 	// Attach repair stats to one entry so the replan field round-trips too.
-	entries[0].out.replan = &core.RepairStats{Replayed: 3, Preserved: 2, Repaired: 1, ColdSolve: false}
+	entries[0].out.Replan = &core.RepairStats{Replayed: 3, Preserved: 2, Repaired: 1, ColdSolve: false}
 	if len(entries) != n+1 {
 		t.Fatalf("cache holds %d entries, want %d", len(entries), n+1)
 	}
@@ -72,17 +63,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if decoded[i].key != entries[i].key {
 			t.Fatalf("entry %d: key %q, want %q (order must be preserved)", i, decoded[i].key, entries[i].key)
 		}
-		if !bytes.Equal(decoded[i].out.schedJSON, entries[i].out.schedJSON) {
+		if !bytes.Equal(decoded[i].out.ScheduleJSON, entries[i].out.ScheduleJSON) {
 			t.Fatalf("entry %d: schedule bytes differ after round trip", i)
 		}
-		if (decoded[i].out.infeas == nil) != (entries[i].out.infeas == nil) {
+		if (decoded[i].out.Infeasible == nil) != (entries[i].out.Infeasible == nil) {
 			t.Fatalf("entry %d: infeasibility lost in round trip", i)
 		}
-		if (decoded[i].out.replan == nil) != (entries[i].out.replan == nil) {
+		if (decoded[i].out.Replan == nil) != (entries[i].out.Replan == nil) {
 			t.Fatalf("entry %d: repair stats lost in round trip", i)
 		}
-		if decoded[i].out.replan != nil && *decoded[i].out.replan != *entries[i].out.replan {
-			t.Fatalf("entry %d: repair stats %+v, want %+v", i, *decoded[i].out.replan, *entries[i].out.replan)
+		if decoded[i].out.Replan != nil && *decoded[i].out.Replan != *entries[i].out.Replan {
+			t.Fatalf("entry %d: repair stats %+v, want %+v", i, *decoded[i].out.Replan, *entries[i].out.Replan)
 		}
 	}
 	// A decoded snapshot re-encodes to the identical bytes: nothing in the
@@ -132,7 +123,7 @@ func TestSnapshotBitFlipsSkipEntries(t *testing.T) {
 			// flipped region must be rejected, not misread.
 			if len(decoded) == len(entries) && skipped == 0 {
 				for i := range decoded {
-					if decoded[i].key != entries[i].key || !bytes.Equal(decoded[i].out.schedJSON, entries[i].out.schedJSON) {
+					if decoded[i].key != entries[i].key || !bytes.Equal(decoded[i].out.ScheduleJSON, entries[i].out.ScheduleJSON) {
 						t.Fatalf("pos=%d mask=%#x: corrupt entry accepted", pos, mask)
 					}
 				}
@@ -264,11 +255,7 @@ func TestSimulateAfterSnapshotRestore(t *testing.T) {
 func FuzzSnapshotDecode(f *testing.F) {
 	h := NewHandle(Config{})
 	req := feasibleRequest(2)
-	g, p, sv, err := buildProblem(req.Graph, req.Platform, req.Options)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if _, err := h.Solve(context.Background(), Spec{Graph: g, Platform: p, Solver: sv}); err != nil {
+	if _, err := h.Solve(context.Background(), solveSpec(f, req)); err != nil {
 		f.Fatal(err)
 	}
 	valid := encodeSnapshot(h.cache.entries())
@@ -291,7 +278,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			if len(e.key) == 0 || len(e.key) > maxSnapKey {
 				t.Fatalf("decoded key length %d outside (0,%d]", len(e.key), maxSnapKey)
 			}
-			if (len(e.out.schedJSON) == 0) == (e.out.infeas == nil) {
+			if (len(e.out.ScheduleJSON) == 0) == (e.out.Infeasible == nil) {
 				t.Fatal("decoded entry violates the exactly-one-of invariant")
 			}
 		}

@@ -30,11 +30,8 @@ import (
 func replanRequest(t *testing.T, work float64, delta PlatformDelta) ReplanRequest {
 	t.Helper()
 	base := feasibleRequest(work)
-	g, p, sv, err := buildProblem(base.Graph, base.Platform, base.Options)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := sv.Solve(context.Background(), g, p)
+	sp := solveSpec(t, base)
+	sched, err := sp.Solver.Solve(context.Background(), sp.Graph, sp.Platform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,15 +74,15 @@ func TestReplanEndToEnd(t *testing.T) {
 
 	// The repaired schedule decodes and validates against the post-delta
 	// platform.
-	g, p, _, err := buildProblem(req.Graph, req.Platform, req.Options)
+	sp, err := buildProblem(req.Graph, req.Platform, req.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newP, _, err := req.Delta.Build().Apply(p)
+	newP, _, err := req.Delta.Build().Apply(sp.Platform)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repaired, err := schedule.LoadJSON(rr.Schedule, g, newP)
+	repaired, err := schedule.LoadJSON(rr.Schedule, sp.Graph, newP)
 	if err != nil {
 		t.Fatalf("decoding repaired schedule: %v", err)
 	}
@@ -381,12 +378,9 @@ func TestReplanAndSolveShareCacheWithoutPoisoning(t *testing.T) {
 // HTTP: Solve and Replan against one Handle, sharing the cache.
 func TestHandleReplanInProcess(t *testing.T) {
 	h := NewHandle(Config{})
-	base := feasibleRequest(2)
-	g, p, sv, err := buildProblem(base.Graph, base.Platform, base.Options)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := h.Solve(context.Background(), Spec{Graph: g, Platform: p, Solver: sv})
+	sp := solveSpec(t, feasibleRequest(2))
+	sv := sp.Solver
+	out, err := h.Solve(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +399,7 @@ func TestHandleReplanInProcess(t *testing.T) {
 	if rout.Schedule == nil || rout.Replan == nil {
 		t.Fatalf("replan outcome: %+v", rout)
 	}
-	if rout.Schedule.P.NumProcs() != p.NumProcs()-1 {
+	if rout.Schedule.P.NumProcs() != sp.Platform.NumProcs()-1 {
 		t.Fatalf("replanned platform has %d processors", rout.Schedule.P.NumProcs())
 	}
 

@@ -2,9 +2,13 @@ package service
 
 // The HTTP adapter: routing, wire decoding and response rendering over the
 // in-process Handle (handle.go), which owns the whole pipeline — hashing,
-// cache, coalescing, admission, metrics. Nothing here computes; every
-// handler decodes its DTOs, pre-validates what must become a 400, delegates
-// to the Handle, and renders the outcome.
+// cache, coalescing, admission, metrics. Nothing here computes. Every POST
+// /v1 route takes one path, serveAPI: decode the body and build the
+// in-memory request (a failure is a 4xx before any work is admitted), run
+// it on the Handle under the request's deadline, stamp the trace, and
+// render the Outcome — or the error — in the one reply envelope,
+// SolveResponse. The four handlers supply only what they build and what
+// they run.
 //
 // Backpressure policy. Admission counts work units — individual solves
 // that must actually compute (a batch's problems are each their own
@@ -28,12 +32,11 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"streamsched/internal/core"
-	"streamsched/internal/dag"
 	"streamsched/internal/obs"
-	"streamsched/internal/platform"
 	"streamsched/internal/schedule"
 )
 
@@ -224,11 +227,10 @@ func errorStatus(err error) int {
 // cancelled"; no standard constant exists.
 const statusClientClosedRequest = 499
 
-// writeError renders the error envelope every endpoint shares. Each
-// endpoint's response DTO omits every field but schemaVersion when only
-// Error is set, so one SolveResponse renders the bytes of all of them:
-// {"schemaVersion":1,"error":…}. 429 (queue full) and 503 (draining) both
-// mean "come back later"; Retry-After carries the hint either way.
+// writeError renders the error envelope every endpoint shares, a
+// SolveResponse with only Error set: {"schemaVersion":1,"error":…}. 429
+// (queue full) and 503 (draining) both mean "come back later"; Retry-After
+// carries the hint either way.
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds(s.cfg.RetryAfter)))
@@ -244,76 +246,95 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
-// decodeRequest parses the body into dst, enforcing method, size and the
-// schema version. On failure it reports the status to answer with.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, dst versioned) (int, error) {
+// decodeRequest parses the body into req, enforcing method, size and the
+// schema version, then runs build. On failure it reports the status to
+// answer with: a body that decodes but does not build is a 400.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, req request, build func() error) (int, error) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		return http.StatusMethodNotAllowed, fmt.Errorf("service: %s requires POST", r.URL.Path)
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(body)
-	if err := dec.Decode(dst); err != nil {
+	if err := dec.Decode(req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return http.StatusRequestEntityTooLarge, fmt.Errorf("service: body exceeds %d bytes", tooBig.Limit)
 		}
 		return http.StatusBadRequest, fmt.Errorf("service: invalid JSON: %w", err)
 	}
-	return http.StatusBadRequest, checkSchemaVersion(dst.schemaVersion())
+	version, _ := req.header()
+	if err := checkSchemaVersion(version); err != nil {
+		return http.StatusBadRequest, err
+	}
+	return http.StatusBadRequest, build()
 }
 
 // buildProblem decodes one (graph, platform, options) triple.
-func buildProblem(g Graph, p Platform, o Options) (*dag.Graph, *platform.Platform, *core.Solver, error) {
+func buildProblem(g Graph, p Platform, o Options) (Spec, error) {
 	dg, err := g.Build()
 	if err != nil {
-		return nil, nil, nil, err
+		return Spec{}, err
 	}
 	pp, err := p.Build()
 	if err != nil {
-		return nil, nil, nil, err
+		return Spec{}, err
 	}
 	sv, err := o.Solver()
 	if err != nil {
-		return nil, nil, nil, err
+		return Spec{}, err
 	}
-	return dg, pp, sv, nil
+	return Spec{Graph: dg, Platform: pp, Solver: sv}, nil
 }
 
-// ---- Handlers ---------------------------------------------------------
+// ---- The /v1 path -----------------------------------------------------
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	s.m.reqSolve.Add(1)
+// reply is a run's result for serveAPI to render: the status and the
+// envelope with its trace outcome label — or, for /v1/batch, the batch body
+// in the envelope's place.
+type reply struct {
+	status int
+	resp   SolveResponse
+	label  string
+	batch  *BatchResponse
+}
+
+// serveAPI is the one path every POST /v1 route takes. It counts the
+// request and observes its latency; under a "decode" span it decodes req
+// (method, size, schema version) and runs build, whose error is a 400; it
+// runs run under the request's deadline and stamps the trace root with the
+// outcome; and under a "render" span it renders the reply or the error.
+// The handlers supply only what differs: what they build and what they run.
+func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request, count *atomic.Int64, req request,
+	build func() error, run func(context.Context) (reply, error)) {
+	count.Add(1)
 	start := time.Now()
 	defer func() { s.m.lat.observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
 
 	sp := obs.FromContext(r.Context())
 	ds := sp.Child("decode")
-	var req SolveRequest
-	if status, err := s.decodeRequest(w, r, &req); err != nil {
-		ds.End()
-		s.writeError(w, status, err)
-		return
-	}
-	g, p, sv, err := buildProblem(req.Graph, req.Platform, req.Options)
+	status, err := s.decodeRequest(w, r, req, build)
 	ds.End()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
+	var rep reply
+	if err == nil {
+		_, timeoutMs := req.header()
+		ctx, cancel := s.requestContext(r, timeoutMs)
+		defer cancel()
+		if rep, err = run(ctx); err != nil {
+			status, rep.label = errorStatus(err), "error"
+		}
+		setTraceOutcome(sp, rep.resp.Hash, rep.label)
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-
-	out, err := s.Handle.Solve(ctx, Spec{Graph: g, Platform: p, Solver: sv})
-	if err != nil {
-		setTraceOutcome(sp, out.Hash, "error")
-		s.writeError(w, errorStatus(err), err)
-		return
-	}
-	setTraceOutcome(sp, out.Hash, outcomeLabel(out))
 	rs := sp.Child("render")
-	s.writeJSON(w, outcomeStatus(out), solveResponse(out))
-	rs.End()
+	defer rs.End()
+	switch {
+	case err != nil:
+		s.writeError(w, status, err)
+	case rep.batch != nil:
+		s.writeJSON(w, rep.status, rep.batch)
+	default:
+		s.writeJSON(w, rep.status, rep.resp)
+	}
 }
 
 // setTraceOutcome stamps the root span with the request's cache key prefix
@@ -328,150 +349,18 @@ func setTraceOutcome(sp obs.SpanRef, hash, outcome string) {
 	if hash != "" {
 		sp.SetArg("hash", hash)
 	}
-	sp.SetArg("outcome", outcome)
-}
-
-// outcomeLabel classifies a successful Outcome for traces and logs.
-func outcomeLabel(out Outcome) string {
-	switch {
-	case out.Infeasible != nil:
-		return "infeasible"
-	case out.Cached:
-		return "cached"
-	case out.Coalesced:
-		return "coalesced"
-	default:
-		return "solved"
+	if outcome != "" {
+		sp.SetArg("outcome", outcome)
 	}
 }
 
-// solveResponse renders one Outcome in the SolveResponse envelope. An
-// infeasible outcome has no schedule or summary, so only its Infeasible
-// renders.
-func solveResponse(out Outcome) SolveResponse {
-	return SolveResponse{
-		SchemaVersion: Version,
-		Hash:          out.Hash,
-		Cached:        out.Cached,
-		Coalesced:     out.Coalesced,
-		Schedule:      out.ScheduleJSON,
-		Summary:       out.Summary,
-		Infeasible:    out.Infeasible,
-	}
-}
-
-// outcomeStatus maps an Outcome to its HTTP status.
-func outcomeStatus(out Outcome) int {
-	if out.Infeasible != nil {
-		return http.StatusConflict
-	}
-	return http.StatusOK
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.m.reqBatch.Add(1)
-	start := time.Now()
-	defer func() { s.m.lat.observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
-
-	sp := obs.FromContext(r.Context())
-	ds := sp.Child("decode")
-	var req BatchRequest
-	status, err := s.decodeRequest(w, r, &req)
-	if err == nil && len(req.Problems) == 0 {
-		err = errors.New("service: batch has no problems")
-	}
-	if err != nil {
-		ds.End()
-		s.writeError(w, status, err)
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-
-	// Decode every problem; undecodable ones keep their error and the rest
-	// go through the in-process batch pipeline.
-	results := make([]BatchResult, len(req.Problems))
-	specs := make([]Spec, 0, len(req.Problems))
-	specIdx := make([]int, 0, len(req.Problems))
-	for i, bp := range req.Problems {
-		opts := req.Options
-		if bp.Options != nil {
-			opts = *bp.Options
-		}
-		g, p, sv, err := buildProblem(bp.Graph, bp.Platform, opts)
-		if err != nil {
-			results[i].Err = err
-			continue
-		}
-		specs = append(specs, Spec{Graph: g, Platform: p, Solver: sv})
-		specIdx = append(specIdx, i)
-	}
-	ds.End()
-	if sp.Active() {
-		sp.SetArg("problems", len(req.Problems))
-	}
-	for k, res := range s.Handle.SolveBatch(ctx, specs) {
-		results[specIdx[k]] = res
-	}
-
-	// A batch whose every problem met the same admission refusal — queue
-	// full or draining — was refused whole: answer it like any refused
-	// request (429 or 503, with Retry-After) rather than a 200 full of
-	// refusals. Mixed outcomes keep the 200 envelope with per-problem
-	// errors — cached results must not be discarded.
-	for _, refusal := range []error{ErrQueueFull, ErrDraining} {
-		all := true
-		for i := range results {
-			all = all && errors.Is(results[i].Err, refusal)
-		}
-		if all {
-			s.writeError(w, errorStatus(refusal), refusal)
-			return
-		}
-	}
-
-	resp := BatchResponse{SchemaVersion: Version, Results: make([]SolveResponse, len(results))}
-	for i := range results {
-		if err := results[i].Err; err != nil {
-			resp.Results[i] = SolveResponse{SchemaVersion: Version, Hash: results[i].Outcome.Hash, Error: err.Error()}
-			continue
-		}
-		resp.Results[i] = solveResponse(results[i].Outcome)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleReplan(w http.ResponseWriter, r *http.Request) {
-	s.m.reqReplan.Add(1)
-	start := time.Now()
-	defer func() { s.m.lat.observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
-
-	sp := obs.FromContext(r.Context())
-	ds := sp.Child("decode")
-	var req ReplanRequest
-	if status, err := s.decodeRequest(w, r, &req); err != nil {
-		ds.End()
-		s.writeError(w, status, err)
-		return
-	}
-	spec, err := replanSpec(req)
-	ds.End()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-
-	out, err := s.Handle.Replan(ctx, spec)
-	if err != nil {
-		setTraceOutcome(sp, out.Hash, "error")
-		s.writeError(w, errorStatus(err), err)
-		return
-	}
-	setTraceOutcome(sp, out.Hash, outcomeLabel(out))
-	rs := sp.Child("render")
-	s.writeJSON(w, outcomeStatus(out), ReplanResponse{
+// outcomeReply renders an Outcome in the envelope every /v1 reply shares,
+// with the status and trace label it answers with: 409 for a typed
+// infeasibility, else 200. Simulate passes its scenario results, which
+// take the schedule's place and label the reply "simulated"; the other
+// routes pass nil.
+func outcomeReply(out Outcome, scenarios []ScenarioResult) reply {
+	rep := reply{status: http.StatusOK, resp: SolveResponse{
 		SchemaVersion: Version,
 		Hash:          out.Hash,
 		Cached:        out.Cached,
@@ -480,21 +369,117 @@ func (s *Server) handleReplan(w http.ResponseWriter, r *http.Request) {
 		Summary:       out.Summary,
 		Replan:        replanStatsDTO(out.Replan),
 		Infeasible:    out.Infeasible,
+		Scenarios:     scenarios,
+	}}
+	switch {
+	case out.Infeasible != nil:
+		rep.status, rep.label = http.StatusConflict, "infeasible"
+	case scenarios != nil:
+		rep.resp.Schedule, rep.label = nil, "simulated"
+	case out.Cached:
+		rep.label = "cached"
+	case out.Coalesced:
+		rep.label = "coalesced"
+	default:
+		rep.label = "solved"
+	}
+	return rep
+}
+
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	var req SolveRequest
+	var spec Spec
+	s.serveAPI(w, r, &s.m.reqSolve, &req, func() (err error) {
+		spec, err = buildProblem(req.Graph, req.Platform, req.Options)
+		return err
+	}, func(ctx context.Context) (reply, error) {
+		out, err := s.Handle.Solve(ctx, spec)
+		return outcomeReply(out, nil), err
 	})
-	rs.End()
+}
+
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	var req BatchRequest
+	var results []BatchResult
+	var specs []Spec
+	var specIdx []int
+	s.serveAPI(w, r, &s.m.reqBatch, &req, func() error {
+		if len(req.Problems) == 0 {
+			return errors.New("service: batch has no problems")
+		}
+		// Undecodable problems keep their error; the rest go through the
+		// in-process batch pipeline.
+		results = make([]BatchResult, len(req.Problems))
+		for i, bp := range req.Problems {
+			opts := req.Options
+			if bp.Options != nil {
+				opts = *bp.Options
+			}
+			spec, err := buildProblem(bp.Graph, bp.Platform, opts)
+			if err != nil {
+				results[i].Err = err
+				continue
+			}
+			specs = append(specs, spec)
+			specIdx = append(specIdx, i)
+		}
+		return nil
+	}, func(ctx context.Context) (reply, error) {
+		if sp := obs.FromContext(ctx); sp.Active() {
+			sp.SetArg("problems", len(req.Problems))
+		}
+		for k, res := range s.Handle.SolveBatch(ctx, specs) {
+			results[specIdx[k]] = res
+		}
+		// A batch whose every problem met the same admission refusal —
+		// queue full or draining — was refused whole: answer it like any
+		// refused request (429 or 503, with Retry-After) rather than a 200
+		// full of refusals. Mixed outcomes keep the 200 envelope with
+		// per-problem errors — cached results must not be discarded.
+		for _, refusal := range []error{ErrQueueFull, ErrDraining} {
+			all := true
+			for i := range results {
+				all = all && errors.Is(results[i].Err, refusal)
+			}
+			if all {
+				return reply{}, refusal
+			}
+		}
+		resp := &BatchResponse{SchemaVersion: Version, Results: make([]SolveResponse, len(results))}
+		for i, res := range results {
+			if res.Err != nil {
+				resp.Results[i] = SolveResponse{SchemaVersion: Version, Hash: res.Outcome.Hash, Error: res.Err.Error()}
+				continue
+			}
+			resp.Results[i] = outcomeReply(res.Outcome, nil).resp
+		}
+		return reply{status: http.StatusOK, batch: resp}, nil
+	})
+}
+
+func (s *Server) handleReplan(w http.ResponseWriter, r *http.Request) {
+	var req ReplanRequest
+	var spec ReplanSpec
+	s.serveAPI(w, r, &s.m.reqReplan, &req, func() (err error) {
+		spec, err = replanSpec(req)
+		return err
+	}, func(ctx context.Context) (reply, error) {
+		out, err := s.Handle.Replan(ctx, spec)
+		return outcomeReply(out, nil), err
+	})
 }
 
 // replanSpec decodes and pre-validates a replan request: everything wrong
 // with it is a client error (400), not a computation to admit.
 func replanSpec(req ReplanRequest) (ReplanSpec, error) {
-	g, p, sv, err := buildProblem(req.Graph, req.Platform, req.Options)
+	sp, err := buildProblem(req.Graph, req.Platform, req.Options)
 	if err != nil {
 		return ReplanSpec{}, err
 	}
 	if len(req.Schedule) == 0 {
 		return ReplanSpec{}, errors.New("service: replan requires the committed schedule")
 	}
-	old, err := schedule.LoadJSON(req.Schedule, g, p)
+	old, err := schedule.LoadJSON(req.Schedule, sp.Graph, sp.Platform)
 	if err != nil {
 		return ReplanSpec{}, fmt.Errorf("service: decoding schedule: %w", err)
 	}
@@ -508,58 +493,25 @@ func replanSpec(req ReplanRequest) (ReplanSpec, error) {
 		return ReplanSpec{}, fmt.Errorf("service: negative repair budget %d", req.RepairBudget)
 	}
 	delta := req.Delta.Build()
-	if _, _, err := delta.Apply(p); err != nil {
+	if _, _, err := delta.Apply(sp.Platform); err != nil {
 		return ReplanSpec{}, err
 	}
-	return ReplanSpec{Old: old, Solver: sv, Delta: delta, RepairBudget: req.RepairBudget, NoColdFallback: req.NoColdFallback}, nil
+	return ReplanSpec{Old: old, Solver: sp.Solver, Delta: delta, RepairBudget: req.RepairBudget, NoColdFallback: req.NoColdFallback}, nil
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	s.m.reqSimulate.Add(1)
-	start := time.Now()
-	defer func() { s.m.lat.observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
-
-	sp := obs.FromContext(r.Context())
-	ds := sp.Child("decode")
 	var req SimulateRequest
-	if status, err := s.decodeRequest(w, r, &req); err != nil {
-		ds.End()
-		s.writeError(w, status, err)
-		return
-	}
-	g, p, sv, err := buildProblem(req.Graph, req.Platform, req.Options)
-	ds.End()
-	if err == nil {
+	var spec Spec
+	s.serveAPI(w, r, &s.m.reqSimulate, &req, func() (err error) {
+		if spec, err = buildProblem(req.Graph, req.Platform, req.Options); err != nil {
+			return err
+		}
 		// Handle.Simulate runs the same check; making it here keeps a bad
-		// crash processor a 400 on a draining or busy server too.
-		err = checkScenarios(req.Scenarios, p.NumProcs())
-	}
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-
-	out, results, err := s.Handle.Simulate(ctx, Spec{Graph: g, Platform: p, Solver: sv}, req.Scenarios)
-	if err != nil {
-		setTraceOutcome(sp, out.Hash, "error")
-		s.writeError(w, errorStatus(err), err)
-		return
-	}
-	label := "simulated"
-	if out.Infeasible != nil {
-		label = "infeasible"
-	}
-	setTraceOutcome(sp, out.Hash, label)
-	s.writeJSON(w, outcomeStatus(out), SimulateResponse{
-		SchemaVersion: Version,
-		Hash:          out.Hash,
-		Cached:        out.Cached,
-		Coalesced:     out.Coalesced,
-		Summary:       out.Summary,
-		Infeasible:    out.Infeasible,
-		Scenarios:     results,
+		// scenario a 400 on a draining or busy server too, before any solve.
+		return checkScenarios(req.Scenarios, spec)
+	}, func(ctx context.Context) (reply, error) {
+		out, results, err := s.Handle.Simulate(ctx, spec, req.Scenarios)
+		return outcomeReply(out, results), err
 	})
 }
 

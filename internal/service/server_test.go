@@ -18,6 +18,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -399,11 +400,8 @@ func TestLeaderRechecksCacheAfterClaim(t *testing.T) {
 	// Reproduce the losing side of the race directly: the cache already
 	// holds the result, yet this requester claims a fresh flight (its
 	// cache.Get raced ahead of the previous flight's Put).
-	g, p, sv, err := buildProblem(req.Graph, req.Platform, req.Options)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash := ProblemHash(g, p, sv)
+	sp := solveSpec(t, req)
+	hash := ProblemHash(sp.Graph, sp.Platform, sp.Solver)
 	srv.solve = func(context.Context, *core.Solver, *dag.Graph, *platform.Platform) (*schedule.Schedule, error) {
 		t.Error("re-solved a problem that was already cached")
 		return nil, context.Canceled
@@ -415,10 +413,10 @@ func TestLeaderRechecksCacheAfterClaim(t *testing.T) {
 	if !leader {
 		t.Fatal("flight unexpectedly in progress")
 	}
-	f.job = job{hash: hash, solve: Spec{Graph: g, Platform: p, Solver: sv}}
+	f.job = job{hash: hash, solve: sp}
 	srv.lead(f, obs.SpanRef{})
 	out, err := f.Wait(context.Background())
-	if err != nil || out.sched == nil {
+	if err != nil || out.Schedule == nil {
 		t.Fatalf("flight did not resolve from cache: %v %+v", err, out)
 	}
 	if m := srv.Metrics(); m.SolveCalls != 1 {
@@ -599,11 +597,8 @@ func TestSimulateMatchesDirectEngineRuns(t *testing.T) {
 	}
 
 	// Reproduce directly: same solver, one engine reused across scenarios.
-	g, p, sv, err := buildProblem(req.Graph, req.Platform, req.Options)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := sv.Solve(context.Background(), g, p)
+	sp := solveSpec(t, base)
+	sched, err := sp.Solver.Solve(context.Background(), sp.Graph, sp.Platform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +636,7 @@ func TestSimulateMatchesDirectEngineRuns(t *testing.T) {
 	}
 
 	// The in-process API returns the very results the HTTP reply carried.
-	out, results, err := srv.Simulate(context.Background(), Spec{Graph: g, Platform: p, Solver: sv}, req.Scenarios)
+	out, results, err := srv.Simulate(context.Background(), sp, req.Scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,6 +670,50 @@ func TestSimulateValidatesCrashProcs(t *testing.T) {
 	resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/simulate", req)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, data)
+	}
+}
+
+// TestSimulateRejectsOversizedScenario pins the scenario bound: more items
+// than maxScenarioSlots holds for the graph's exit tasks is a 400 with the
+// stable token, decided before admission and before the solve — not a
+// simulator allocation sized by the client, which no deadline interrupts.
+func TestSimulateRejectsOversizedScenario(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	base := feasibleRequest(2) // a chain: one exit task
+	req := SimulateRequest{
+		Graph: base.Graph, Platform: base.Platform, Options: base.Options,
+		Scenarios: []Scenario{{Name: "dataflow"}, {Name: "huge", Items: maxScenarioSlots + 1}},
+		TimeoutMs: 500,
+	}
+	resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/simulate", req)
+	var sr SimulateResponse
+	json.Unmarshal(data, &sr)
+	if resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(sr.Error, ReasonScenarioTooLarge+":") {
+		t.Fatalf("status %d (%s), want 400 with %q", resp.StatusCode, data, ReasonScenarioTooLarge)
+	}
+	if m := srv.Metrics(); m.SolveCalls != 0 || m.SimRuns != 0 {
+		t.Fatalf("rejected scenario still ran %d solves and %d simulations", m.SolveCalls, m.SimRuns)
+	}
+
+	// The bound divides among the exit tasks, and the in-process API
+	// applies it too.
+	g := dag.New("three-exits")
+	for i := 0; i < 3; i++ {
+		g.AddTask(fmt.Sprintf("t%d", i), 1)
+	}
+	sp := solveSpec(t, SolveRequest{Graph: GraphDTO(g), Platform: base.Platform, Options: base.Options})
+	if err := checkScenarios([]Scenario{{Items: maxScenarioSlots / 3}}, sp); err != nil {
+		t.Fatalf("scenario at the bound rejected: %v", err)
+	}
+	_, _, err := srv.Simulate(context.Background(), sp, []Scenario{{Items: maxScenarioSlots/3 + 1}})
+	if err == nil || !strings.HasPrefix(err.Error(), ReasonScenarioTooLarge+":") {
+		t.Fatalf("Handle.Simulate past the bound: %v", err)
+	}
+	if m := srv.Metrics(); m.SolveCalls != 0 {
+		t.Fatalf("in-process rejection ran %d solves", m.SolveCalls)
 	}
 }
 
@@ -722,8 +761,8 @@ func TestCacheEvictionIsBounded(t *testing.T) {
 
 func TestLRUCacheSemantics(t *testing.T) {
 	c := newLRUCache(2)
-	o := func(detail string) outcome {
-		return outcome{infeas: infeas.New(infeas.ReasonUnknown, 0, detail)}
+	o := func(detail string) Outcome {
+		return Outcome{Infeasible: infeas.New(infeas.ReasonUnknown, 0, detail)}
 	}
 	c.Put("a", o("a"))
 	c.Put("b", o("b"))
@@ -736,7 +775,7 @@ func TestLRUCacheSemantics(t *testing.T) {
 	}
 	for _, k := range []string{"a", "c"} {
 		out, ok := c.Get(k)
-		if !ok || out.infeas.Detail != k {
+		if !ok || out.Infeasible.Detail != k {
 			t.Fatalf("%s lost or corrupted", k)
 		}
 	}

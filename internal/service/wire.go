@@ -51,14 +51,16 @@ func checkSchemaVersion(v int) error {
 	return nil
 }
 
-// versioned is a decoded request body; the HTTP adapter checks its schema
-// version with checkSchemaVersion.
-type versioned interface{ schemaVersion() int }
+// request is a decoded /v1 request body: the HTTP adapter checks its
+// schema version with checkSchemaVersion and applies its TimeoutMs.
+type request interface {
+	header() (schemaVersion, timeoutMs int)
+}
 
-func (r *SolveRequest) schemaVersion() int    { return r.SchemaVersion }
-func (r *BatchRequest) schemaVersion() int    { return r.SchemaVersion }
-func (r *ReplanRequest) schemaVersion() int   { return r.SchemaVersion }
-func (r *SimulateRequest) schemaVersion() int { return r.SchemaVersion }
+func (r *SolveRequest) header() (int, int)    { return r.SchemaVersion, r.TimeoutMs }
+func (r *BatchRequest) header() (int, int)    { return r.SchemaVersion, r.TimeoutMs }
+func (r *ReplanRequest) header() (int, int)   { return r.SchemaVersion, r.TimeoutMs }
+func (r *SimulateRequest) header() (int, int) { return r.SchemaVersion, r.TimeoutMs }
 
 // Infeasible is the wire form of a classified infeasibility; it aliases
 // infeas.Error, whose JSON encoding is the wire contract (reason tokens,
@@ -262,9 +264,11 @@ type ScheduleSummary struct {
 	CrossComms   int     `json:"crossComms"`
 }
 
-// SolveResponse is the /v1/solve result and the per-problem element of a
-// batch response. Exactly one of Schedule (with Summary), Infeasible and
-// Error is populated.
+// SolveResponse is the reply envelope of every /v1 route and of each batch
+// element; ReplanResponse and SimulateResponse are aliases of it. Exactly
+// one of Schedule or Scenarios (each with Summary), Infeasible and Error
+// is populated, and each route sets only its own fields, so the field
+// order below is the wire order of every route's reply.
 type SolveResponse struct {
 	SchemaVersion int `json:"schemaVersion"`
 	// Hash is the canonical problem hash — the cache key; clients can use
@@ -274,11 +278,18 @@ type SolveResponse struct {
 	// Coalesced that it piggybacked on an identical in-flight solve.
 	Cached    bool `json:"cached,omitempty"`
 	Coalesced bool `json:"coalesced,omitempty"`
-	// Schedule is the schedule interchange JSON (schedule.MarshalJSON).
+	// Schedule is the schedule interchange JSON (schedule.MarshalJSON): the
+	// solved one, or on /v1/replan the repaired (or cold-resolved) one for
+	// the post-delta platform. /v1/simulate omits it.
 	Schedule json.RawMessage  `json:"schedule,omitempty"`
 	Summary  *ScheduleSummary `json:"summary,omitempty"`
+	// Replan reports how a /v1/replan schedule was obtained: replayed /
+	// preserved / searched task counts, or ColdSolve.
+	Replan *ReplanStats `json:"replan,omitempty"`
 	// Infeasible reports a typed "no schedule exists" outcome (HTTP 409).
 	Infeasible *Infeasible `json:"infeasible,omitempty"`
+	// Scenarios carries /v1/simulate's per-scenario measurements.
+	Scenarios []ScenarioResult `json:"scenarios,omitempty"`
 	// Error reports a non-infeasibility failure.
 	Error string `json:"error,omitempty"`
 }
@@ -348,18 +359,9 @@ type SimulateRequest struct {
 	TimeoutMs int        `json:"timeoutMs,omitempty"`
 }
 
-// SimulateResponse reports the solve outcome and the per-scenario
-// measurements.
-type SimulateResponse struct {
-	SchemaVersion int              `json:"schemaVersion"`
-	Hash          string           `json:"hash,omitempty"`
-	Cached        bool             `json:"cached,omitempty"`
-	Coalesced     bool             `json:"coalesced,omitempty"`
-	Summary       *ScheduleSummary `json:"summary,omitempty"`
-	Infeasible    *Infeasible      `json:"infeasible,omitempty"`
-	Scenarios     []ScenarioResult `json:"scenarios,omitempty"`
-	Error         string           `json:"error,omitempty"`
-}
+// SimulateResponse is the /v1/simulate reply: the solve outcome's summary
+// or infeasibility, and the per-scenario measurements.
+type SimulateResponse = SolveResponse
 
 // summarize extracts the headline metrics.
 func summarize(s *schedule.Schedule) *ScheduleSummary {
@@ -475,20 +477,6 @@ type ReplanRequest struct {
 	TimeoutMs      int  `json:"timeoutMs,omitempty"`
 }
 
-// ReplanResponse is the /v1/replan result. Exactly one of Schedule (with
-// Summary and Replan), Infeasible and Error is populated.
-type ReplanResponse struct {
-	SchemaVersion int    `json:"schemaVersion"`
-	Hash          string `json:"hash,omitempty"`
-	Cached        bool   `json:"cached,omitempty"`
-	Coalesced     bool   `json:"coalesced,omitempty"`
-	// Schedule is the repaired (or cold-resolved) schedule for the
-	// post-delta platform.
-	Schedule json.RawMessage  `json:"schedule,omitempty"`
-	Summary  *ScheduleSummary `json:"summary,omitempty"`
-	// Replan reports how the schedule was obtained: replayed / preserved /
-	// searched task counts, or ColdSolve.
-	Replan     *ReplanStats `json:"replan,omitempty"`
-	Infeasible *Infeasible  `json:"infeasible,omitempty"`
-	Error      string       `json:"error,omitempty"`
-}
+// ReplanResponse is the /v1/replan reply: the repaired schedule with its
+// Summary and Replan statistics, or Infeasible.
+type ReplanResponse = SolveResponse

@@ -2,8 +2,8 @@
 # Service smoke: start a streamschedd with one worker, no queue and every
 # flight slowed by the service.flight.slow fault site, then walk the status paths the service contract
 # promises — 200 (solved), 200+cached (LRU hit), 409 (typed infeasibility),
-# 429+Retry-After (queue full) — and check /healthz and the /metrics
-# counters. Used by `make smoke` and the ci.yml service-smoke job, which
+# 429+Retry-After (queue full), 400 — on all four /v1 routes, and check
+# /healthz, /debug/traces and the /metrics counters. Used by `make smoke` and the ci.yml service-smoke job, which
 # must stay in lockstep.
 #
 # With --chaos the script runs the crash-tolerance smoke instead
@@ -268,6 +268,63 @@ jq -e '.error | startswith("unsupported-schema-version")' "$workdir/replan_badve
 	exit 1
 }
 
+# 5b. The other two /v1 routes and their 400s. Every problem below is
+# already cached, and cache hits never reach a flight, so the slow-flight
+# fault does not hold these steps. A batch of the feasible and infeasible
+# problems: 200 with one schedule and one classified infeasibility.
+jq -s '{problems: .}' "$workdir/feasible.json" "$workdir/infeasible.json" >"$workdir/batch.json"
+got=$(curl -s -o "$workdir/batch_resp.json" -w '%{http_code}' -X POST \
+	-H 'Content-Type: application/json' --data-binary @"$workdir/batch.json" "$BASE/v1/batch")
+[ "$got" = 200 ] || {
+	echo "FAIL: batch returned $got, want 200" >&2
+	exit 1
+}
+jq -e '.results[0].schedule and .results[1].infeasible.reason' "$workdir/batch_resp.json" >/dev/null || {
+	echo "FAIL: batch response missing the schedule or the infeasible reason" >&2
+	exit 1
+}
+# Simulate the feasible problem free-running and through a crash: every
+# item is delivered, since ε=1 replication survives one crash.
+jq '. + {scenarios: [{name: "dataflow", items: 20}, {name: "crash", items: 20, crashProcs: [0], crashAt: 30}]}' \
+	"$workdir/feasible.json" >"$workdir/simulate.json"
+simulate() { # simulate <payload> <body-out> — prints the HTTP status
+	curl -s -o "$2" -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+		--data-binary @"$1" "$BASE/v1/simulate"
+}
+got=$(simulate "$workdir/simulate.json" "$workdir/simulate_resp.json")
+[ "$got" = 200 ] || {
+	echo "FAIL: simulate returned $got, want 200" >&2
+	exit 1
+}
+jq -e '(.scenarios | length) == 2 and all(.scenarios[]; .delivered == .items)' "$workdir/simulate_resp.json" >/dev/null || {
+	echo "FAIL: simulate lost items or scenarios" >&2
+	exit 1
+}
+# A scenario too large to simulate, and a crash processor the platform
+# lacks: both 400, decided before any work.
+jq '. + {scenarios: [{items: 2000000000}]}' "$workdir/feasible.json" >"$workdir/simulate_huge.json"
+got=$(simulate "$workdir/simulate_huge.json" "$workdir/simulate_huge_resp.json")
+[ "$got" = 400 ] || {
+	echo "FAIL: oversized scenario returned $got, want 400" >&2
+	exit 1
+}
+jq -e '.error | startswith("scenario-too-large")' "$workdir/simulate_huge_resp.json" >/dev/null || {
+	echo "FAIL: oversized scenario missing the stable reason token" >&2
+	exit 1
+}
+jq '. + {scenarios: [{crashProcs: [5]}]}' "$workdir/feasible.json" >"$workdir/simulate_badproc.json"
+got=$(simulate "$workdir/simulate_badproc.json" "$workdir/simulate_badproc_resp.json")
+[ "$got" = 400 ] || {
+	echo "FAIL: out-of-range crash processor returned $got, want 400" >&2
+	exit 1
+}
+# /debug/traces is read-only: 405 naming GET in Allow.
+got=$(curl -s -o /dev/null -D "$workdir/debug_post.headers" -w '%{http_code}' -X POST "$BASE/debug/traces")
+[ "$got" = 405 ] && grep -qi '^allow: *GET' "$workdir/debug_post.headers" || {
+	echo "FAIL: POST /debug/traces returned $got without Allow: GET, want 405" >&2
+	exit 1
+}
+
 # 6. Observability (DESIGN.md §12): tracing is on by default, so every
 # response so far must carry an X-Trace-Id — the 200s, the 429 and the 409
 # alike.
@@ -327,11 +384,16 @@ curl -fsS -H 'Accept: text/plain' "$BASE/metrics" | grep '^streamsched_uptime_se
 	exit 1
 }
 
-# 7. Metrics report the cache hits (solve + replan + the traced timing
-# request) and the rejection.
+# 7. Metrics report the cache hits (solve + replan + both batch problems
+# + the simulate solve + the traced timing request), the rejection, and
+# the requests and simulation runs of every route.
 curl -fsS "$BASE/metrics" >"$workdir/metrics.json"
-jq -e '.cache.hits == 3' "$workdir/metrics.json" >/dev/null || {
+jq -e '.cache.hits == 6' "$workdir/metrics.json" >/dev/null || {
 	echo "FAIL: /metrics does not report the cache hits" >&2
+	exit 1
+}
+jq -e '.requests.batch == 1 and .requests.simulate == 3 and .simRuns == 2' "$workdir/metrics.json" >/dev/null || {
+	echo "FAIL: /metrics does not count the batch and simulate requests" >&2
 	exit 1
 }
 jq -e '.queue.rejected == 1' "$workdir/metrics.json" >/dev/null || {
@@ -343,4 +405,4 @@ jq -e '.requests.replan == 3' "$workdir/metrics.json" >/dev/null || {
 	exit 1
 }
 
-echo "service smoke OK: 200, cached 200, 409 (period-exceeded), 429 (+Retry-After), replan 200/cached/400, tracing (X-Trace-Id, Server-Timing, /debug/traces JSON+chrome), prometheus scrape, metrics consistent"
+echo "service smoke OK: 200, cached 200, 409 (period-exceeded), 429 (+Retry-After), replan 200/cached/400, batch 200, simulate 200/400/400, /debug/traces 405, tracing (X-Trace-Id, Server-Timing, /debug/traces JSON+chrome), prometheus scrape, metrics consistent"

@@ -407,8 +407,9 @@ type (
 	WireEdge     = service.Edge
 	WirePlatform = service.Platform
 	WireOptions  = service.Options
-	// WireSolveRequest/Response are the /v1/solve payloads; a response
-	// carries a schedule, a typed infeasibility, or an error.
+	// WireSolveRequest/Response are the /v1/solve payloads. The response
+	// is the reply envelope of every /v1 route: it carries a schedule, a
+	// typed infeasibility, or an error.
 	WireSolveRequest  = service.SolveRequest
 	WireSolveResponse = service.SolveResponse
 	// WireBatch types fan many problems through one request.
@@ -416,6 +417,8 @@ type (
 	WireBatchProblem  = service.BatchProblem
 	WireBatchResponse = service.BatchResponse
 	// WireReplan types repair a committed schedule after a platform delta.
+	// WireReplanResponse is WireSolveResponse with its Replan statistics
+	// set.
 	WireReplanRequest  = service.ReplanRequest
 	WireReplanResponse = service.ReplanResponse
 	WirePlatformDelta  = service.PlatformDelta
@@ -424,6 +427,8 @@ type (
 	WireNewProc        = service.NewProc
 	WireReplanStats    = service.ReplanStats
 	// WireSimulate types solve and sweep simulation scenarios.
+	// WireSimulateResponse is WireSolveResponse with its Scenarios set and
+	// no Schedule.
 	WireSimulateRequest  = service.SimulateRequest
 	WireSimulateResponse = service.SimulateResponse
 	WireScenario         = service.Scenario
