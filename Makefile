@@ -66,11 +66,11 @@ bench-record:
 	$(GO) run ./cmd/bench -bench '$(BENCH_RE)' -benchtime $(BENCHTIME) -count $(COUNT)
 
 # bench-compare is exactly the CI bench gate: red on >25% ns/op, >10%
-# allocs/op, or >10% wakes/op growth vs the committed baseline.
+# allocs/op, >10% wakes/op or any events/op growth vs the committed baseline.
 bench-compare:
 	$(GO) run ./cmd/bench -bench '$(BENCH_RE)' -benchtime $(BENCHTIME) -count $(COUNT) \
 		-baseline BENCH_baseline.json -alloc-tolerance 0.10 \
-		-metric-tolerance wakes/op=0.10 -out BENCH_ci.json
+		-metric-tolerance wakes/op=0.10 -metric-tolerance events/op=0 -out BENCH_ci.json
 
 # bench-trend prints the per-benchmark ns/op and allocs/op trajectory over
 # the recorded artifacts (BENCH_*.json under BENCH_DIR) with per-step deltas.

@@ -222,8 +222,9 @@ func BenchmarkRLTF(b *testing.B) {
 // BenchmarkSim measures the discrete-event engine across the axes the
 // experiment campaigns exercise: small structured vs paper-sized random
 // graphs, free-running dataflow vs stage-synchronized semantics, with and
-// without a tolerated crash. These cases are part of the recorded baseline
-// and the CI perf gate (see Makefile BENCH_RE).
+// without a tolerated crash, plus the Fig. 4 golden cell (ε=3, two crashes),
+// where port contention is steady. These cases are part of the recorded
+// baseline and the CI perf gate (see Makefile BENCH_RE).
 func BenchmarkSim(b *testing.B) {
 	small, err := ltf.Schedule(context.Background(), randgraph.Butterfly(3, 3, 1),
 		platform.Homogeneous(10, 1, 1), 1, 30, ltf.Options{})
@@ -236,6 +237,13 @@ func BenchmarkSim(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	type simCase struct {
+		name  string
+		s     *streamsched.Schedule
+		sync  bool
+		procs []platform.ProcID
+	}
+	var cases []simCase
 	for _, size := range []struct {
 		name string
 		s    *streamsched.Schedule
@@ -244,35 +252,42 @@ func BenchmarkSim(b *testing.B) {
 			name string
 			sync bool
 		}{{"dataflow", false}, {"synchronous", true}} {
-			for _, crash := range []struct {
-				name  string
-				procs []platform.ProcID
-			}{{"nocrash", nil}, {"crash", []platform.ProcID{0}}} {
-				b.Run(size.name+"/"+mode.name+"/"+crash.name, func(b *testing.B) {
-					c := sim.DefaultConfig(size.s)
-					c.Synchronous = mode.sync
-					if crash.procs != nil {
-						c.Failures = sim.FailureSpec{Procs: crash.procs}
-					}
-					eng, err := sim.NewEngine(size.s)
-					if err != nil {
-						b.Fatal(err)
-					}
-					var wakes int64
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := eng.Run(context.Background(), c); err != nil {
-							b.Fatal(err)
-						}
-						wakes += eng.Wakes()
-					}
-					// Event-count regressions (a wake push per gated instance
-					// instead of per bucket) hide inside ns/op noise; the gate
-					// reds on wakes/op growth directly.
-					b.ReportMetric(float64(wakes)/float64(b.N), "wakes/op")
-				})
-			}
+			cases = append(cases,
+				simCase{size.name + "/" + mode.name + "/nocrash", size.s, mode.sync, nil},
+				simCase{size.name + "/" + mode.name + "/crash", size.s, mode.sync, []platform.ProcID{0}})
 		}
+	}
+	fig4 := simGoldenFig4(b)
+	cases = append(cases,
+		simCase{"fig4/dataflow/crash2", fig4, false, simFig4Crash},
+		simCase{"fig4/synchronous/crash2", fig4, true, simFig4Crash})
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			c := sim.DefaultConfig(tc.s)
+			c.Synchronous = tc.sync
+			if tc.procs != nil {
+				c.Failures = sim.FailureSpec{Procs: tc.procs}
+			}
+			eng, err := sim.NewEngine(tc.s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var wakes, events int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Run(context.Background(), c); err != nil {
+					b.Fatal(err)
+				}
+				wakes += eng.Wakes()
+				events += eng.Events()
+			}
+			// Event-count regressions (a wake push per gated instance
+			// instead of per bucket, a transfer granted at another time)
+			// hide inside ns/op noise; the gate reds on wakes/op and
+			// events/op growth directly.
+			b.ReportMetric(float64(wakes)/float64(b.N), "wakes/op")
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
+		})
 	}
 }
 

@@ -22,10 +22,11 @@ package sim
 //     handler observes: only already-created instances fail eagerly.
 //
 // Instead of rescanning every queue per event, the engine keeps per-proc
-// ready heaps and a dirty-processor bitset, per-port pending queues feeding
-// a per-event candidate list, and gate heaps that open by time — each event
-// touches only state it could have changed, and the full-rescan behaviour is
-// reproduced exactly (see dispatch).
+// ready heaps and a dirty-processor bitset, one pending-transfer list per
+// (sender, receiver) processor pair feeding a per-event candidate list, and
+// gate heaps that open by time — each event touches only state it could have
+// changed, and the full-rescan behaviour is reproduced exactly (see
+// dispatch and collectFreed).
 
 import (
 	"context"
@@ -35,6 +36,7 @@ import (
 	"slices"
 	"sort"
 
+	"streamsched/internal/bitset"
 	"streamsched/internal/dag"
 	"streamsched/internal/platform"
 	"streamsched/internal/schedule"
@@ -98,8 +100,13 @@ type xfer struct {
 	link     int32
 	item     int32
 	earliest float64 // synchronous-mode cycle gate; 0 in dataflow mode
-	state    uint8
-	woken    bool
+	// prev and next thread the transfer through its (sender, receiver)
+	// pair list while listed; -1 ends the list.
+	prev, next int32
+	state      uint8
+	// listed is set exactly while the transfer is on its pair list: pending
+	// and not parked in a gate bucket.
+	listed bool
 }
 
 type instRef struct{ item, rep int32 }
@@ -193,8 +200,15 @@ type Engine struct {
 	freeRefs [][]instRef    // recycled gateBucket ref slices
 
 	sendBusy, recvBusy     []bool
-	sendActive, recvActive []int32   // in-flight transfer per port, -1 free
-	sendQ, recvQ           [][]int32 // pending transfer indices per port
+	sendActive, recvActive []int32 // in-flight transfer per port, -1 free
+
+	// Listed transfers (pending, not parked in a gate bucket), one list per
+	// (sender, receiver) processor pair threaded through xfer.prev/next:
+	// pairHead[u·m+v] heads pair (u, v)'s list, -1 when empty. Set u of
+	// sendPairs holds v, and set v of recvPairs holds u, exactly while that
+	// list is non-empty.
+	pairHead             []int32
+	sendPairs, recvPairs *bitset.Span
 
 	comms      []xfer
 	freeComms  []int32
@@ -351,8 +365,9 @@ func NewEngine(s *schedule.Schedule) (*Engine, error) {
 	e.recvBusy = make([]bool, m)
 	e.sendActive = make([]int32, m)
 	e.recvActive = make([]int32, m)
-	e.sendQ = make([][]int32, m)
-	e.recvQ = make([][]int32, m)
+	e.pairHead = make([]int32, m*m)
+	e.sendPairs = bitset.NewSpan(m, m)
+	e.recvPairs = bitset.NewSpan(m, m)
 
 	// Ring sized for the steady-state window: a delivered item is live for
 	// about its latency, bounded by (2S−1)·Δ ≈ 2S periods.
@@ -433,11 +448,15 @@ func (e *Engine) reset(cfg Config) {
 		e.recvBusy[u] = false
 		e.sendActive[u] = -1
 		e.recvActive[u] = -1
-		e.sendQ[u] = e.sendQ[u][:0]
-		e.recvQ[u] = e.recvQ[u][:0]
+		e.sendPairs.At(u).Clear()
+		e.recvPairs.At(u).Clear()
 	}
 	for i := range e.dirty {
 		e.dirty[i] = 0
+	}
+	// A cancelled run leaves transfers listed: forget them all.
+	for i := range e.pairHead {
+		e.pairHead[i] = -1
 	}
 	e.comms = e.comms[:0]
 	e.freeComms = e.freeComms[:0]
@@ -779,8 +798,7 @@ func (e *Engine) execComplete(item, rep int32) {
 			c.earliest = float64(int(item)+2*int(e.stage[rep])-1) * e.period
 		}
 		e.live[e.pos(item)]++
-		e.sendQ[u] = append(e.sendQ[u], ci)
-		e.recvQ[v] = append(e.recvQ[v], ci)
+		e.listComm(ci)
 		if !e.sendBusy[u] && !e.recvBusy[v] {
 			e.candidates = append(e.candidates, ci)
 		}
@@ -822,53 +840,94 @@ func (e *Engine) commComplete(ci int32) {
 	e.live[e.pos(item)]--
 	c.state = cFree
 	e.freeComms = append(e.freeComms, ci)
-	// The freed ports are what this event changed: their queued transfers
-	// are the dispatch candidates.
-	e.collectPort(&e.sendQ[src], src, true)
-	e.collectPort(&e.recvQ[dst], dst, false)
+	// The freed ports are what this event changed: the listed transfers
+	// they unblock are the dispatch candidates.
+	e.collectFreed(src, dst)
 }
 
-// collectPort appends the port's pending transfers to the candidate list,
-// compacting out entries that were resolved (or whose arena slot was
-// recycled to another port) since the last scan. Gated transfers that are
-// already parked in a wake bucket (woken) stay queued but are not candidates:
-// they cannot be granted before their gate opens, and the opening bucket
-// re-injects them (with woken cleared) at exactly that time.
-func (e *Engine) collectPort(q *[]int32, proc int32, send bool) {
-	w := 0
-	for _, ci := range *q {
-		c := &e.comms[ci]
-		if c.state != cPending {
-			continue
-		}
-		l := &e.links[c.link]
-		p := e.repProc[l.srcRep]
-		if !send {
-			p = e.repProc[l.dstRep]
-		}
-		if p != proc {
-			continue
-		}
-		(*q)[w] = ci
-		w++
-		if c.woken {
-			continue
-		}
-		// Ports only go free→busy inside one dispatch pass, so a transfer
-		// whose peer port is busy right now cannot be granted (or newly
-		// gated) this pass: it stays queued and becomes a candidate when
-		// that peer port's own completion frees it.
-		peer := e.repProc[l.dstRep]
-		peerBusy := e.recvBusy[peer]
-		if !send {
-			peer = e.repProc[l.srcRep]
-			peerBusy = e.sendBusy[peer]
-		}
-		if !peerBusy {
-			e.candidates = append(e.candidates, ci)
+// collectFreed appends to the candidate list every listed transfer that
+// freeing u's send port and v's receive port can unblock: the lists of the
+// pairs (u, w) whose receive port w is free and of the pairs (w, v) whose
+// send port w is free. Ports only go free→busy inside one dispatch pass, so
+// a transfer whose other port is busy right now cannot be granted (or newly
+// gated) this pass; it becomes a candidate when that port's own completion
+// frees it. Transfers parked in a gate bucket are not listed: the opening
+// bucket re-lists them at exactly their gate time.
+//
+//streamsched:hotpath
+func (e *Engine) collectFreed(u, v int32) {
+	for wi, word := range e.sendPairs.At(int(u)) {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			if w := wi*64 + b; !e.recvBusy[w] {
+				e.collectPair(int(u)*e.m + w)
+			}
 		}
 	}
-	*q = (*q)[:w]
+	for wi, word := range e.recvPairs.At(int(v)) {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			// Pair (u, v) was collected above: v's receive port is free.
+			if w := wi*64 + b; w != int(u) && !e.sendBusy[w] {
+				e.collectPair(w*e.m + int(v))
+			}
+		}
+	}
+}
+
+// collectPair appends one pair list to the candidate list.
+//
+//streamsched:hotpath
+func (e *Engine) collectPair(pair int) {
+	for ci := e.pairHead[pair]; ci >= 0; ci = e.comms[ci].next {
+		e.candidates = append(e.candidates, ci)
+	}
+}
+
+// listComm puts a pending transfer at the head of its pair list.
+//
+//streamsched:hotpath
+func (e *Engine) listComm(ci int32) {
+	c := &e.comms[ci]
+	l := &e.links[c.link]
+	u, v := e.repProc[l.srcRep], e.repProc[l.dstRep]
+	head := &e.pairHead[int(u)*e.m+int(v)]
+	c.prev, c.next, c.listed = -1, *head, true
+	if *head >= 0 {
+		e.comms[*head].prev = ci
+	} else {
+		e.sendPairs.At(int(u)).Add(int(v))
+		e.recvPairs.At(int(v)).Add(int(u))
+	}
+	*head = ci
+}
+
+// unlistComm takes a transfer off its pair list; unlisted ones are left as
+// they are.
+//
+//streamsched:hotpath
+func (e *Engine) unlistComm(ci int32) {
+	c := &e.comms[ci]
+	if !c.listed {
+		return
+	}
+	c.listed = false
+	if c.next >= 0 {
+		e.comms[c.next].prev = c.prev
+	}
+	if c.prev >= 0 {
+		e.comms[c.prev].next = c.next
+		return
+	}
+	l := &e.links[c.link]
+	u, v := e.repProc[l.srcRep], e.repProc[l.dstRep]
+	e.pairHead[int(u)*e.m+int(v)] = c.next
+	if c.next < 0 {
+		e.sendPairs.At(int(u)).Remove(int(v))
+		e.recvPairs.At(int(v)).Remove(int(u))
+	}
 }
 
 // failProcs applies the failure spec at the current time.
@@ -967,12 +1026,20 @@ func (e *Engine) dispatch() {
 		}
 	}
 	// Transfer gates that opened by now re-enter arbitration, one bucket of
-	// transfers per opening time. Clearing woken hands the transfer back to
-	// the port scan (collectPort), which ignores still-gated transfers.
+	// transfers per opening time. A bucket can name a slot that the failure
+	// scan dropped and allocComm recycled, so only a pending transfer that
+	// is not listed yet goes back on its pair list; every pending one is a
+	// candidate.
 	for len(e.commGated) > 0 && e.commGated[0].at <= e.now {
 		b := heapPopTimed(&e.commGated)
 		for _, ci := range b.cis {
-			e.comms[ci].woken = false
+			c := &e.comms[ci]
+			if c.state != cPending {
+				continue
+			}
+			if !c.listed {
+				e.listComm(ci)
+			}
 			e.candidates = append(e.candidates, ci)
 		}
 		e.freeCIs = append(e.freeCIs, b.cis[:0])
@@ -1116,6 +1183,11 @@ func (e *Engine) dropGateBuckets(u int32) {
 // bench metric guarding against event-count regressions.
 func (e *Engine) Wakes() int64 { return e.wakes }
 
+// Events reports how many events the last Run pushed onto the event heap
+// (executions, transfers and wakes; injections and the failure are virtual)
+// — the events/op bench metric, which moves only when arbitration does.
+func (e *Engine) Events() int64 { return e.seq }
+
 // commKey is the arbitration order of pending transfers.
 func (e *Engine) commKey(ci int32) uint64 {
 	c := &e.comms[ci]
@@ -1170,13 +1242,14 @@ func (e *Engine) commDispatch() {
 			continue
 		}
 		if c.earliest > e.now {
-			if !c.woken {
-				c.woken = true
+			if c.listed { // not parked yet
+				e.unlistComm(ci)
 				e.gateComm(c.earliest, ci)
 			}
 			continue
 		}
 		if !e.sendBusy[src] && !e.recvBusy[dst] {
+			e.unlistComm(ci)
 			e.sendBusy[src] = true
 			e.recvBusy[dst] = true
 			e.sendActive[src] = ci
@@ -1200,6 +1273,7 @@ func (e *Engine) allocComm() int32 {
 
 // dropComm resolves a pending transfer that will never be granted.
 func (e *Engine) dropComm(ci int32) {
+	e.unlistComm(ci)
 	c := &e.comms[ci]
 	e.live[e.pos(c.item)]--
 	c.state = cFree

@@ -2,11 +2,14 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"streamsched/internal/platform"
+	"streamsched/internal/randgraph"
 	"streamsched/internal/rltf"
 	"streamsched/internal/rng"
 	"streamsched/internal/schedule"
@@ -47,6 +50,67 @@ func TestEngineReuseMatchesFreshRuns(t *testing.T) {
 		}
 		if !sameResult(got, want) {
 			t.Fatalf("cfg %d: reused engine diverges from fresh run:\n got %+v\nwant %+v", i, got, want)
+		}
+	}
+}
+
+// fig4Schedule is the Fig. 4 cell of the repository's sim_*fig4* goldens:
+// m=20, a random stream graph at granularity 0.6, R-LTF at ε=3 and Δ=40.
+// fig4Crash is its two-processor crash set.
+func fig4Schedule(t *testing.T) *schedule.Schedule {
+	t.Helper()
+	r := rng.New(7)
+	p := platform.RandomHeterogeneous(r, 20, 0.5, 1, 0.5, 1, 100)
+	cfg := randgraph.DefaultStreamConfig()
+	cfg.Granularity = 0.6
+	cfg.ComputeFraction = 0.2
+	cfg.PeriodBase = 10
+	s, err := rltf.Schedule(context.Background(), randgraph.Stream(r, cfg, p), p, 3, 40, rltf.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+var fig4Crash = []platform.ProcID{5, 13}
+
+// TestEngineReuseAfterCancelledRun stops a run mid-stream (the loop polls
+// ctx every 1,024 events, so an already-cancelled run returns with
+// transfers still listed, granted and parked in gate buckets) and then
+// reuses the engine: reset must drop every pair list and gate bucket the
+// aborted run left behind. A completed run leaves the pair lists empty, so
+// TestEngineReuseMatchesFreshRuns cannot see a reset that forgets them.
+func TestEngineReuseAfterCancelledRun(t *testing.T) {
+	s := fig4Schedule(t)
+	eng, err := NewEngine(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, sync := range []bool{false, true} {
+		cfg := DefaultConfig(s)
+		cfg.Synchronous = sync
+		cfg.Failures = FailureSpec{Procs: fig4Crash}
+		if _, err := eng.Run(cancelled, cfg); !errors.Is(err, context.Canceled) {
+			t.Fatalf("sync=%v: cancelled run returned %v", sync, err)
+		}
+		if !slices.ContainsFunc(eng.pairHead, func(h int32) bool { return h >= 0 }) {
+			t.Fatalf("sync=%v: the cancelled run left no transfer listed; the test no longer reaches reset's clearing", sync)
+		}
+		if sync && len(eng.commGated) == 0 {
+			t.Fatal("the cancelled synchronous run left no transfer parked")
+		}
+		got, err := eng.Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(context.Background(), s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResult(got, want) {
+			t.Fatalf("sync=%v: engine reused after a cancelled run diverges from a fresh run:\n got %+v\nwant %+v", sync, got, want)
 		}
 	}
 }

@@ -27,11 +27,12 @@
 // dense slices indexed by a precomputed replica index × a recycled item ring
 // (only a pipeline-depth window of items is ever live), events are values in
 // a 4-ary heap, and dispatch is incremental — per-processor ready heaps, a
-// dirty-processor worklist and per-port pending queues mean an event only
-// touches the state it could have changed. The per-schedule static tables
-// (exec durations, out-link fan-out, transfer durations, arbitration ranks)
-// are built once by NewEngine and shared across runs, so experiment
-// campaigns reuse one Engine for every scenario of a schedule.
+// dirty-processor worklist and one pending-transfer list per (sender,
+// receiver) processor pair mean an event only touches the state it could
+// have changed. The per-schedule static tables (exec durations, out-link
+// fan-out, transfer durations, arbitration ranks) are built once by
+// NewEngine and shared across runs, so experiment campaigns reuse one Engine
+// for every scenario of a schedule.
 package sim
 
 import (

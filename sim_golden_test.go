@@ -121,13 +121,43 @@ func simGoldenRingOverload(t *testing.T) *schedule.Schedule {
 	return s
 }
 
+// simFig4Seed names the one Fig. 4 cell the fig4 goldens and the
+// BenchmarkSim/fig4 cases simulate; simFig4Crash is the crash set that
+// experiments.makeCell's r.Sample draw picks for it.
+const simFig4Seed = 7
+
+var simFig4Crash = []platform.ProcID{5, 13}
+
+// simGoldenFig4 draws one m=20 cell the way experiments.makeCell draws a
+// Fig. 4 cell (heterogeneous platform, random stream graph at granularity
+// 0.6, φ=0.2, Δ_base=10) and schedules it with R-LTF at ε=3 and Δ=40. At
+// this size the one-port ports stay contended in steady state, which the
+// smaller goldens never reach.
+func simGoldenFig4(tb testing.TB) *schedule.Schedule {
+	tb.Helper()
+	r := rng.New(simFig4Seed)
+	p := platform.RandomHeterogeneous(r, 20, 0.5, 1, 0.5, 1, 100)
+	cfg := randgraph.DefaultStreamConfig()
+	cfg.Granularity = 0.6
+	cfg.ComputeFraction = 0.2
+	cfg.PeriodBase = 10
+	g := randgraph.Stream(r, cfg, p)
+	s, err := rltf.Schedule(context.Background(), g, p, 3, 40, rltf.Options{})
+	if err != nil {
+		tb.Fatalf("fig4 cell (seed %d): %v", simFig4Seed, err)
+	}
+	return s
+}
+
 type simGoldenCase struct {
 	name   string
 	sched  func(t *testing.T) *schedule.Schedule
 	cfg    sim.Config
-	crash  []int   // processor ids, nil = no failure
-	at     float64 // multiplied by the schedule period at run time
-	atInto bool    // add half a period so the crash lands mid-cycle
+	crash  []platform.ProcID // nil = no failure
+	at     float64           // multiplied by the schedule period at run time
+	atInto bool              // add half a period so the crash lands mid-cycle
+	// defaultItems takes Items and Warmup from sim.DefaultConfig.
+	defaultItems bool
 }
 
 func simGoldenCases() []simGoldenCase {
@@ -137,34 +167,35 @@ func simGoldenCases() []simGoldenCase {
 	stream := func(eps int) func(*testing.T) *schedule.Schedule {
 		return func(t *testing.T) *schedule.Schedule { _, s := simGoldenSchedules(t, eps); return s }
 	}
+	fig4 := func(t *testing.T) *schedule.Schedule { return simGoldenFig4(t) }
 	return []simGoldenCase{
 		// Free-running dataflow semantics.
 		{name: "df_butterfly_eps0", sched: butterfly(0),
 			cfg: sim.Config{Items: 24, Warmup: 4, TraceItems: 2}},
 		{name: "df_butterfly_eps0_crash0", sched: butterfly(0),
-			cfg: sim.Config{Items: 24, Warmup: 4}, crash: []int{0}},
+			cfg: sim.Config{Items: 24, Warmup: 4}, crash: []platform.ProcID{0}},
 		{name: "df_butterfly_eps1_crash0", sched: butterfly(1),
-			cfg: sim.Config{Items: 24, Warmup: 4}, crash: []int{0}},
+			cfg: sim.Config{Items: 24, Warmup: 4}, crash: []platform.ProcID{0}},
 		{name: "df_butterfly_eps1_mid", sched: butterfly(1),
-			cfg: sim.Config{Items: 30, Warmup: 4}, crash: []int{3}, at: 10, atInto: true},
+			cfg: sim.Config{Items: 30, Warmup: 4}, crash: []platform.ProcID{3}, at: 10, atInto: true},
 		{name: "df_stream_eps1", sched: stream(1),
 			cfg: sim.Config{Items: 24, Warmup: 4}},
 		{name: "df_stream_eps1_trace", sched: stream(1),
 			cfg: sim.Config{Items: 24, Warmup: 4, TraceItems: 3}},
 		{name: "df_stream_eps3_crash2", sched: stream(3),
-			cfg: sim.Config{Items: 24, Warmup: 4}, crash: []int{0, 5}},
+			cfg: sim.Config{Items: 24, Warmup: 4}, crash: []platform.ProcID{0, 5}},
 		// Stage-synchronized pipeline semantics.
 		{name: "sync_butterfly_eps0", sched: butterfly(0),
 			cfg: sim.Config{Items: 24, Warmup: 4, Synchronous: true, TraceItems: 2}},
 		{name: "sync_butterfly_eps1", sched: butterfly(1),
 			cfg: sim.Config{Items: 24, Warmup: 4, Synchronous: true}},
 		{name: "sync_butterfly_eps1_crash0", sched: butterfly(1),
-			cfg: sim.Config{Items: 24, Warmup: 4, Synchronous: true}, crash: []int{0}},
+			cfg: sim.Config{Items: 24, Warmup: 4, Synchronous: true}, crash: []platform.ProcID{0}},
 		{name: "sync_stream_eps1", sched: stream(1),
 			cfg: sim.Config{Items: 24, Warmup: 4, Synchronous: true}},
 		{name: "sync_stream_eps3_mid", sched: stream(3),
 			cfg:   sim.Config{Items: 30, Warmup: 4, Synchronous: true, TraceItems: 2},
-			crash: []int{2, 7}, at: 10, atInto: true},
+			crash: []platform.ProcID{2, 7}, at: 10, atInto: true},
 		// Edge cases the batched wake path must preserve: gates landing
 		// exactly on a cycle boundary, a crash arriving mid-cycle while
 		// instances sit gated, and ring growth under synchronous backlog.
@@ -172,9 +203,14 @@ func simGoldenCases() []simGoldenCase {
 			cfg: sim.Config{Items: 24, Warmup: 4, Synchronous: true, TraceItems: 2}},
 		{name: "sync_butterfly_eps1_midgate", sched: butterfly(1),
 			cfg:   sim.Config{Items: 30, Warmup: 4, Synchronous: true},
-			crash: []int{3}, at: 6, atInto: true},
+			crash: []platform.ProcID{3}, at: 6, atInto: true},
 		{name: "sync_ring_overload", sched: simGoldenRingOverload,
 			cfg: sim.Config{Items: 64, Synchronous: true}},
+		// A Fig. 4 cell at the paper's scale: ε=3, two processors dead
+		// from the start, sim.DefaultConfig's item count.
+		{name: "df_fig4_eps3_crash2", sched: fig4, defaultItems: true, crash: simFig4Crash},
+		{name: "sync_fig4_eps3_crash2", sched: fig4, defaultItems: true, crash: simFig4Crash,
+			cfg: sim.Config{Synchronous: true}},
 	}
 }
 
@@ -183,13 +219,14 @@ func TestGoldenSimResults(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.sched(t)
 			cfg := tc.cfg
+			if tc.defaultItems {
+				d := sim.DefaultConfig(s)
+				cfg.Items, cfg.Warmup = d.Items, d.Warmup
+			}
 			if tc.crash != nil {
-				spec := sim.FailureSpec{At: tc.at * s.Period}
+				spec := sim.FailureSpec{Procs: tc.crash, At: tc.at * s.Period}
 				if tc.atInto {
 					spec.At += s.Period / 2
-				}
-				for _, u := range tc.crash {
-					spec.Procs = append(spec.Procs, platform.ProcID(u))
 				}
 				cfg.Failures = spec
 			}
