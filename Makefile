@@ -2,7 +2,7 @@
 # so a green `make ci` predicts a green CI run.
 
 GO ?= go
-BENCH_RE ?= BenchmarkLTF|BenchmarkRLTF|BenchmarkReplan|BenchmarkSim|BenchmarkTimelineReserve|BenchmarkServiceSolveCached|BenchmarkServiceSolveTraced|BenchmarkTxnRollback
+BENCH_RE ?= BenchmarkLTF|BenchmarkRLTF|BenchmarkReplan|BenchmarkSim|BenchmarkTimelineReserve|BenchmarkServiceSolveCached|BenchmarkServiceSolveTraced|BenchmarkTxnRollback|BenchmarkScheduleJSON|BenchmarkReplanHash
 BENCHTIME ?= 5x
 COUNT ?= 3
 
@@ -40,10 +40,11 @@ lint: fmt vet
 # target a short exploration budget. Same step CI runs.
 FUZZTIME ?= 15s
 fuzz:
-	$(GO) test -run Fuzz ./internal/service/
+	$(GO) test -run Fuzz ./internal/service/ ./internal/schedule/
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalProblemHash -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzScheduleJSON -fuzztime $(FUZZTIME) ./internal/schedule/
 
 # test mirrors the CI test job (race + short). test-full runs the slow
 # experiment sweeps too.
@@ -66,7 +67,8 @@ bench-record:
 	$(GO) run ./cmd/bench -bench '$(BENCH_RE)' -benchtime $(BENCHTIME) -count $(COUNT)
 
 # bench-compare is exactly the CI bench gate: red on >25% ns/op, >10%
-# allocs/op, >10% wakes/op or any events/op growth vs the committed baseline.
+# allocs/op, >10% wakes/op or any events/op change (a rise or a fall) vs the
+# committed baseline.
 bench-compare:
 	$(GO) run ./cmd/bench -bench '$(BENCH_RE)' -benchtime $(BENCHTIME) -count $(COUNT) \
 		-baseline BENCH_baseline.json -alloc-tolerance 0.10 \

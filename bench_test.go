@@ -22,6 +22,7 @@ import (
 	"streamsched/internal/randgraph"
 	"streamsched/internal/rltf"
 	"streamsched/internal/rng"
+	"streamsched/internal/service"
 	"streamsched/internal/sim"
 	"streamsched/internal/timeline"
 )
@@ -162,6 +163,65 @@ func BenchmarkLTF(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// benchLTFSchedule is BenchmarkLTF's ε=1 schedule (a paper-sized random
+// stream graph on 20 heterogeneous processors) with a solver of the same
+// configuration.
+func benchLTFSchedule(b *testing.B) (*streamsched.Schedule, *streamsched.Solver) {
+	b.Helper()
+	r := rng.New(11)
+	p := platform.RandomHeterogeneous(r, 20, 0.5, 1, 0.5, 1, 100)
+	g := randgraph.Stream(r, randgraph.DefaultStreamConfig(), p)
+	s, err := ltf.Schedule(context.Background(), g, p, 1, 20, ltf.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	solver, err := streamsched.NewSolver(
+		streamsched.WithAlgorithm(streamsched.LTF),
+		streamsched.WithEps(1),
+		streamsched.WithPeriod(20),
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s, solver
+}
+
+// BenchmarkScheduleJSON measures the interchange rendering a service miss
+// pays once per schedule: MarshalJSON of BenchmarkLTF's ε=1 schedule, one
+// stage pass and one compact json.Marshal. Part of the CI perf gate.
+func BenchmarkScheduleJSON(b *testing.B) {
+	s, _ := benchLTFSchedule(b)
+	// One untimed render refills encoding/json's encoder pool, which the
+	// GC before every run can empty: without it, allocs/op at the gate's
+	// 5x moves with the GC's timing.
+	if _, err := s.MarshalJSON(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.MarshalJSON(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReplanHash measures the cache key of a /v1/replan request over
+// the same schedule with a lost processor: the problem hash plus the
+// committed schedule's structure, hashed as decoded. Part of the CI perf
+// gate.
+func BenchmarkReplanHash(b *testing.B) {
+	s, solver := benchLTFSchedule(b)
+	spec := service.ReplanSpec{Old: s, Solver: solver, Delta: streamsched.PlatformDelta{Lost: []streamsched.ProcID{3}}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := service.ReplanHash(spec); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -10,7 +10,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -112,7 +114,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := os.WriteFile(*jsonF, data, 0o644); err != nil {
+		// The interchange bytes are compact; the file is for people too.
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, data, "", "  "); err != nil {
+			fatal(err)
+		}
+		if err := os.WriteFile(*jsonF, indented.Bytes(), 0o644); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("  schedule JSON written to %s\n", *jsonF)

@@ -249,8 +249,12 @@ func Compare(baseline, current *File) []Delta {
 // Regressions filters deltas exceeding the thresholds: nsTol is the allowed
 // fractional ns/op increase (0.25 → fail above +25%), allocTol the same for
 // allocs/op (pass a negative allocTol to skip the alloc gate), and metricTol
-// bounds custom-metric growth per unit — {"wakes/op": 0.10} fails any
-// benchmark whose wakes/op grew more than 10% over the baseline. Units
+// bounds custom metrics per unit. A positive tolerance bounds growth —
+// {"wakes/op": 0.10} fails any benchmark whose wakes/op grew more than 10%
+// over the baseline — while a tolerance of 0 pins the metric exactly:
+// {"events/op": 0} fails on any change, a fall as much as a rise, because
+// a deterministic work count moves only when the work itself does. A
+// benchmark that does not report a gated unit is not gated on it. Units
 // absent from metricTol are informational only (quality metrics like stages
 // move legitimately with algorithm changes). Missing benchmarks always count
 // as regressions — a silently dropped benchmark must not pass the gate.
@@ -266,7 +270,8 @@ func Regressions(deltas []Delta, nsTol, allocTol float64, metricTol map[string]f
 			bad = append(bad, d)
 		default:
 			for unit, tol := range metricTol {
-				if d.MetricRatios[unit] > 1+tol {
+				r, ok := d.MetricRatios[unit]
+				if ok && (r > 1+tol || tol == 0 && r != 1) {
 					bad = append(bad, d)
 					break
 				}

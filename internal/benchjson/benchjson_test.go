@@ -2,6 +2,7 @@ package benchjson
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -173,6 +174,45 @@ func TestCompareAndRegressionsCustomMetrics(t *testing.T) {
 	}
 	if got := bad[0].Describe(); !strings.Contains(got, "wakes/op ×1.200") {
 		t.Errorf("Describe() = %q, want wakes ratio", got)
+	}
+}
+
+// TestRegressionsExactMetricGate covers the three cases of a custom-metric
+// gate: tolerance 0 fails on any change in either direction, a nonzero
+// tolerance checks growth only, and a benchmark that does not report the
+// unit stays ungated rather than reading as a ratio of 0.
+func TestRegressionsExactMetricGate(t *testing.T) {
+	base := &File{Results: []Result{
+		{Name: "Fall", NsOp: 1000, Metrics: map[string]float64{"events/op": 47000, "wakes/op": 100}},
+		{Name: "Rise", NsOp: 1000, Metrics: map[string]float64{"events/op": 47000, "wakes/op": 100}},
+		{Name: "Same", NsOp: 1000, Metrics: map[string]float64{"events/op": 47000, "wakes/op": 100}},
+		{Name: "Unreported", NsOp: 1000},
+	}}
+	cur := &File{Results: []Result{
+		{Name: "Fall", NsOp: 1000, Metrics: map[string]float64{"events/op": 40000, "wakes/op": 50}},
+		{Name: "Rise", NsOp: 1000, Metrics: map[string]float64{"events/op": 50000, "wakes/op": 100}},
+		{Name: "Same", NsOp: 1000, Metrics: map[string]float64{"events/op": 47000, "wakes/op": 105}},
+		{Name: "Unreported", NsOp: 1000},
+	}}
+	deltas := Compare(base, cur)
+	if _, ok := deltas[3].MetricRatios["events/op"]; ok {
+		t.Fatalf("unreported unit has a ratio: %v", deltas[3].MetricRatios)
+	}
+	names := func(ds []Delta) []string {
+		var out []string
+		for _, d := range ds {
+			out = append(out, d.Name)
+		}
+		return out
+	}
+	// Tolerance 0: the fall (×0.851) fails as well as the rise.
+	if got := names(Regressions(deltas, 0.25, -1, map[string]float64{"events/op": 0})); !slices.Equal(got, []string{"Fall", "Rise"}) {
+		t.Fatalf("events/op=0 gate flags %v, want [Fall Rise]", got)
+	}
+	// A nonzero tolerance checks growth only: halving wakes passes, and
+	// +5% is inside a 10% gate.
+	if got := names(Regressions(deltas, 0.25, -1, map[string]float64{"wakes/op": 0.10})); len(got) != 0 {
+		t.Fatalf("wakes/op=0.10 gate flags %v, want none", got)
 	}
 }
 

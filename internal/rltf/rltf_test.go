@@ -246,9 +246,9 @@ func TestStagesMatchMirroredStructure(t *testing.T) {
 			if src.Proc == rep.Proc {
 				eta = 0
 			}
-			if stages[rep.Ref] < stages[c.From]+eta {
+			if stages[s.Index(rep.Ref)] < stages[s.Index(c.From)]+eta {
 				t.Fatalf("stage monotonicity violated: %v(stage %d) → %v(stage %d, η=%d)",
-					c.From, stages[c.From], rep.Ref, stages[rep.Ref], eta)
+					c.From, stages[s.Index(c.From)], rep.Ref, stages[s.Index(rep.Ref)], eta)
 			}
 		}
 	}

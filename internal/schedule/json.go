@@ -8,6 +8,7 @@ package schedule
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"streamsched/internal/dag"
 	"streamsched/internal/platform"
@@ -45,9 +46,15 @@ type jsonComm struct {
 	Finish   float64 `json:"finish"`
 }
 
-// MarshalJSON serializes the schedule.
+// MarshalJSON renders the schedule in its interchange form: compact JSON
+// from one json.Marshal of the serialized form, whose stage numbers, S and
+// latency bound all come from a single StageNumbers pass. The bytes are
+// already what json.Marshal(s) returns — its re-scan of a Marshaler's
+// output leaves compact, escaped JSON as it is — so a service can write
+// them verbatim; json.Indent them for human readers.
 func (s *Schedule) MarshalJSON() ([]byte, error) {
 	stages := s.StageNumbers()
+	S := maxStage(stages)
 	out := jsonSchedule{
 		Algorithm: s.Algorithm,
 		Eps:       s.Eps,
@@ -55,8 +62,8 @@ func (s *Schedule) MarshalJSON() ([]byte, error) {
 		Graph:     s.G.Name(),
 		Tasks:     s.G.NumTasks(),
 		Procs:     s.P.NumProcs(),
-		Stages:    s.Stages(),
-		Latency:   s.LatencyBound(),
+		Stages:    S,
+		Latency:   s.latencyBound(S),
 	}
 	for _, r := range s.All() {
 		jr := jsonReplica{
@@ -66,7 +73,7 @@ func (s *Schedule) MarshalJSON() ([]byte, error) {
 			Proc:   int(r.Proc),
 			Start:  r.Start,
 			Finish: r.Finish,
-			Stage:  stages[r.Ref],
+			Stage:  stages[s.Index(r.Ref)],
 		}
 		for _, c := range r.In {
 			jr.In = append(jr.In, jsonComm{
@@ -79,14 +86,15 @@ func (s *Schedule) MarshalJSON() ([]byte, error) {
 		}
 		out.Replicas = append(out.Replicas, jr)
 	}
-	return json.MarshalIndent(out, "", "  ")
+	return json.Marshal(out)
 }
 
 // LoadJSON reconstructs a schedule previously serialized with MarshalJSON,
 // re-binding it to the given graph and platform (which must match the
 // serialized dimensions). The structure is checked before anything is
 // built from it, so untrusted input yields an error, never a panic or an
-// allocation sized by an unchecked field.
+// allocation sized by an unchecked field. A schedule whose latency bound
+// (2S−1)Δ overflows is refused too: MarshalJSON could not render it.
 func LoadJSON(data []byte, g *dag.Graph, p *platform.Platform) (*Schedule, error) {
 	var in jsonSchedule
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -121,6 +129,9 @@ func LoadJSON(data []byte, g *dag.Graph, p *platform.Platform) (*Schedule, error
 			})
 		}
 		s.AddReplica(rep)
+	}
+	if math.IsInf(s.LatencyBound(), 0) {
+		return nil, fmt.Errorf("schedule: latency bound (2S−1)Δ overflows at period %v", in.Period)
 	}
 	return s, nil
 }

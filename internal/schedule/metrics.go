@@ -90,13 +90,14 @@ func (s *Schedule) ProcessorUtilization() []float64 {
 	return out
 }
 
-// Stages computes the per-replica pipeline stage numbers (§4): entry-task
-// replicas are in stage 1; every other replica r has
-// S(r) = max over its incoming comms c of (S(source(c)) + η), with η = 0
-// when source and r are co-located and η = 1 otherwise.
-// The map is keyed by Ref; unplaced replicas are skipped.
-func (s *Schedule) StageNumbers() map[Ref]int {
-	stages := make(map[Ref]int)
+// StageNumbers computes the per-replica pipeline stage numbers (§4) in one
+// pass over the tasks in topological order: entry-task replicas are in
+// stage 1; every other replica r has S(r) = max over its incoming comms c
+// of (S(source(c)) + η), with η = 0 when source and r are co-located and
+// η = 1 otherwise. The slice is dense, indexed by Index(ref); unplaced
+// replicas read 0.
+func (s *Schedule) StageNumbers() []int {
+	stages := make([]int, len(s.replicas)*(s.Eps+1))
 	order, err := s.G.TopoOrder()
 	if err != nil {
 		panic(err)
@@ -116,33 +117,33 @@ func (s *Schedule) StageNumbers() map[Ref]int {
 				if src.Proc == r.Proc {
 					eta = 0
 				}
-				if v := stages[c.From] + eta; v > st {
+				if v := stages[s.Index(c.From)] + eta; v > st {
 					st = v
 				}
 			}
-			stages[r.Ref] = st
+			stages[s.Index(r.Ref)] = st
 		}
 	}
 	return stages
 }
 
 // Stages returns S, the total number of pipeline stages (max over replicas).
-func (s *Schedule) Stages() int {
-	max := 0
-	// A max over map values is order-independent.
-	//nolint:determcheck // order-independent reduction
-	for _, v := range s.StageNumbers() {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
+func (s *Schedule) Stages() int { return maxStage(s.StageNumbers()) }
 
 // LatencyBound returns the paper's pipelined latency L = (2S−1)·Δ.
-func (s *Schedule) LatencyBound() float64 {
-	return float64(2*s.Stages()-1) * s.Period
+func (s *Schedule) LatencyBound() float64 { return s.latencyBound(s.Stages()) }
+
+// maxStage returns S given the stage numbers of every replica.
+func maxStage(stages []int) int {
+	S := 0
+	for _, v := range stages {
+		S = max(S, v)
+	}
+	return S
 }
+
+// latencyBound returns (2S−1)·Δ for a stage count S.
+func (s *Schedule) latencyBound(S int) float64 { return float64(2*S-1) * s.Period }
 
 // CrossComms returns the number of inter-processor communications in the
 // replica structure — the overhead metric the one-to-one mapping minimizes.

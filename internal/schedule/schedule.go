@@ -91,6 +91,10 @@ func (s *Schedule) AddReplica(r *Replica) {
 	s.replicas[r.Ref.Task][r.Ref.Copy] = r
 }
 
+// Index returns ref's position in the dense per-replica slices such as
+// StageNumbers: task×(ε+1)+copy.
+func (s *Schedule) Index(ref Ref) int { return int(ref.Task)*(s.Eps+1) + ref.Copy }
+
 // Replica returns the placed replica for ref, or nil if not (yet) placed.
 func (s *Schedule) Replica(ref Ref) *Replica {
 	return s.replicas[ref.Task][ref.Copy]

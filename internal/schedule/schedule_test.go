@@ -20,7 +20,7 @@ func chainAB() *dag.Graph {
 
 // fixture builds the canonical valid ε=1 schedule used across tests:
 // a⁽¹⁾@P0, a⁽²⁾@P1, b⁽¹⁾@P2, b⁽²⁾@P3; one-to-one comms a⁽ᵏ⁾→b⁽ᵏ⁾.
-func fixture(t *testing.T) *Schedule {
+func fixture(t testing.TB) *Schedule {
 	t.Helper()
 	g := chainAB()
 	p := platform.Homogeneous(4, 1, 1)
@@ -167,10 +167,10 @@ func TestProcessorUtilization(t *testing.T) {
 func TestStagesCross(t *testing.T) {
 	s := fixture(t)
 	st := s.StageNumbers()
-	if st[Ref{0, 0}] != 1 || st[Ref{0, 1}] != 1 {
+	if st[s.Index(Ref{0, 0})] != 1 || st[s.Index(Ref{0, 1})] != 1 {
 		t.Fatalf("entry stages: %v", st)
 	}
-	if st[Ref{1, 0}] != 2 || st[Ref{1, 1}] != 2 {
+	if st[s.Index(Ref{1, 0})] != 2 || st[s.Index(Ref{1, 1})] != 2 {
 		t.Fatalf("cross-proc successor stages: %v", st)
 	}
 	if s.Stages() != 2 {

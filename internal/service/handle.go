@@ -36,7 +36,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -607,8 +606,10 @@ func foldInfeasible(err error) (Outcome, error) {
 
 // renderOutcome serializes the schedule once, at solve time; cache hits
 // reuse the rendered bytes instead of re-marshalling the schedule struct.
+// MarshalJSON's bytes are already compact, so they are taken as they are:
+// json.Marshal would only re-scan them.
 func renderOutcome(sched *schedule.Schedule) (Outcome, error) {
-	raw, err := json.Marshal(sched)
+	raw, err := sched.MarshalJSON()
 	if err != nil {
 		return Outcome{}, fmt.Errorf("service: encoding schedule: %w", err)
 	}

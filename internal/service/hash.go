@@ -14,32 +14,57 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"hash"
-	"io"
 	"math"
 
 	"streamsched/internal/core"
 	"streamsched/internal/dag"
 	"streamsched/internal/platform"
+	"streamsched/internal/schedule"
 )
 
-// problemHasher wraps a hash.Hash with the primitive encoders.
+// problemHasher wraps a hash.Hash with the primitive encoders. The
+// encoded bytes collect in buf and reach the hash a block at a time: a
+// replan key encodes thousands of 8-byte fields, and one Write each would
+// cost more than the hashing.
 type problemHasher struct {
 	h   hash.Hash
-	buf [8]byte
+	buf []byte
+}
+
+// hasherBlock is how many encoded bytes problemHasher collects per Write.
+const hasherBlock = 512
+
+func newProblemHasher() *problemHasher {
+	return &problemHasher{h: sha256.New(), buf: make([]byte, 0, hasherBlock)}
 }
 
 func (ph *problemHasher) u64(v uint64) {
-	binary.LittleEndian.PutUint64(ph.buf[:], v)
-	ph.h.Write(ph.buf[:])
+	ph.buf = binary.LittleEndian.AppendUint64(ph.buf, v)
+	if len(ph.buf) >= hasherBlock {
+		ph.flush()
+	}
 }
 
 func (ph *problemHasher) f64(v float64) { ph.u64(math.Float64bits(v)) }
 
 func (ph *problemHasher) str(s string) {
 	ph.u64(uint64(len(s)))
-	io.WriteString(ph.h, s)
+	ph.buf = append(ph.buf, s...)
+	if len(ph.buf) >= hasherBlock {
+		ph.flush()
+	}
+}
+
+func (ph *problemHasher) flush() {
+	ph.h.Write(ph.buf)
+	ph.buf = ph.buf[:0]
+}
+
+// sum returns the hex digest of everything encoded.
+func (ph *problemHasher) sum() string {
+	ph.flush()
+	return hex.EncodeToString(ph.h.Sum(nil))
 }
 
 // ProblemHash returns the canonical hash of (g, p, solver configuration)
@@ -47,7 +72,7 @@ func (ph *problemHasher) str(s string) {
 // encoding is versioned by the leading magic and the solver fingerprint
 // carries its own version tag.
 func ProblemHash(g *dag.Graph, p *platform.Platform, s *core.Solver) string {
-	ph := &problemHasher{h: sha256.New()}
+	ph := newProblemHasher()
 	ph.str("streamsched-problem/v1")
 
 	ph.str(g.Name())
@@ -79,24 +104,26 @@ func ProblemHash(g *dag.Graph, p *platform.Platform, s *core.Solver) string {
 	}
 
 	ph.str(s.Fingerprint())
-	return hex.EncodeToString(ph.h.Sum(nil))
+	return ph.sum()
 }
 
 // ReplanHash returns the canonical hash of one replan request: the
 // underlying problem hash (graph, pre-delta platform, solver), the
-// committed schedule in its canonical interchange encoding (MarshalJSON is
-// deterministic, so equal schedules hash equal), the delta, and the repair
-// policy. The leading magic differs from ProblemHash's, so replan and
-// solve outcomes can never collide in the shared cache and flight map.
+// committed schedule, the delta, and the repair policy. The schedule is
+// hashed as decoded, with the same primitives as the problem: its
+// algorithm, ε and Δ, then every placed replica in task and copy order —
+// task, copy, processor, start, finish — with each input's source replica,
+// volume and transfer window. Everything else its interchange JSON carries
+// (names, dimensions, stages, the latency bound) follows from these and
+// the problem. The leading magic differs from ProblemHash's, so replan and
+// solve outcomes can never collide in the shared cache and flight map;
+// v1 hashed the schedule's JSON instead, so v1 keys never match a v2 one.
+// The error is always nil.
 func ReplanHash(sp ReplanSpec) (string, error) {
-	schedJSON, err := json.Marshal(sp.Old)
-	if err != nil {
-		return "", err
-	}
-	ph := &problemHasher{h: sha256.New()}
-	ph.str("streamsched-replan/v1")
+	ph := newProblemHasher()
+	ph.str("streamsched-replan/v2")
 	ph.str(ProblemHash(sp.Old.G, sp.Old.P, sp.Solver))
-	ph.str(string(schedJSON))
+	ph.schedule(sp.Old)
 
 	d := sp.Delta
 	ph.u64(uint64(len(d.Lost)))
@@ -129,5 +156,29 @@ func ReplanHash(sp ReplanSpec) (string, error) {
 	} else {
 		ph.u64(0)
 	}
-	return hex.EncodeToString(ph.h.Sum(nil)), nil
+	return ph.sum(), nil
+}
+
+// schedule hashes a committed schedule's structure (see ReplanHash).
+func (ph *problemHasher) schedule(s *schedule.Schedule) {
+	ph.str(s.Algorithm)
+	ph.u64(uint64(s.Eps))
+	ph.f64(s.Period)
+	all := s.All()
+	ph.u64(uint64(len(all)))
+	for _, r := range all {
+		ph.u64(uint64(r.Ref.Task))
+		ph.u64(uint64(r.Ref.Copy))
+		ph.u64(uint64(r.Proc))
+		ph.f64(r.Start)
+		ph.f64(r.Finish)
+		ph.u64(uint64(len(r.In)))
+		for _, c := range r.In {
+			ph.u64(uint64(c.From.Task))
+			ph.u64(uint64(c.From.Copy))
+			ph.f64(c.Volume)
+			ph.f64(c.Start)
+			ph.f64(c.Finish)
+		}
+	}
 }

@@ -183,6 +183,16 @@ func decodeSnapEntry(body []byte) (lruEntry, bool) {
 	if len(pl.Schedule) > 0 && pl.Summary == nil {
 		return lruEntry{}, false
 	}
+	// Replies write cached schedule bytes verbatim, so restore them in the
+	// compact, escaped form MarshalJSON renders, whatever the file holds
+	// (json.Marshal of a RawMessage is exactly that re-scan).
+	if len(pl.Schedule) > 0 {
+		sched, err := json.Marshal(pl.Schedule)
+		if err != nil {
+			return lruEntry{}, false
+		}
+		pl.Schedule = sched
+	}
 	out := Outcome{
 		ScheduleJSON: pl.Schedule,
 		Summary:      pl.Summary,

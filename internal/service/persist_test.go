@@ -171,6 +171,31 @@ func TestSnapshotUnknownEntryVersionSkipsEntry(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoresCanonicalScheduleBytes hand-writes an entry whose
+// schedule is indented and holds a raw '<': replies write cached bytes
+// verbatim, so the restore must hold them compact and escaped, as
+// json.Encoder would have written them.
+func TestSnapshotRestoresCanonicalScheduleBytes(t *testing.T) {
+	const key = "k"
+	body := binary.LittleEndian.AppendUint16(nil, snapEntryVersion)
+	body = binary.LittleEndian.AppendUint16(body, uint16(len(key)))
+	body = append(body, key...)
+	body = append(body, `{"schedule": {
+  "graph": "<a>"
+},"summary":{"algorithm":"R-LTF"}}`...)
+	data := binary.LittleEndian.AppendUint32(append([]byte(nil), snapshotMagic[:]...), snapshotVersion)
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(body)))
+	data = append(data, body...)
+	data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(body))
+	decoded, skipped, err := decodeSnapshot(data)
+	if err != nil || skipped != 0 || len(decoded) != 1 {
+		t.Fatalf("entries=%d skipped=%d err=%v, want the one entry", len(decoded), skipped, err)
+	}
+	if got, want := string(decoded[0].out.ScheduleJSON), `{"graph":"\u003ca\u003e"}`; got != want {
+		t.Fatalf("restored schedule %s, want %s", got, want)
+	}
+}
+
 func TestSnapshotReplayPreservesLRUOrder(t *testing.T) {
 	entries := snapTestEntries(t, 3) // 4 entries, oldest first
 	data := encodeSnapshot(entries)

@@ -26,6 +26,7 @@ package service
 // an expired deadline surfaces as 504.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -191,14 +192,51 @@ func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context
 
 // ---- HTTP plumbing ----------------------------------------------------
 
-// writeJSON renders the response compactly: responses are machine-read,
-// and indenting would re-format the pre-rendered schedule RawMessage on
-// every cache hit.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
+// writeJSON renders body compactly, with the trailing newline: byte for
+// byte what json.Encoder writes. The schedules, already-rendered schedule
+// JSON in the order body holds schedulePlaceholder for them, are written
+// verbatim in the placeholders' places. They came from MarshalJSON, so they
+// are compact and escaped, and encoding/json would only re-scan them.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, body any, schedules ...[]byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body) // write errors mean the client is gone
-	s.m.countResponse(status)
+	defer s.m.countResponse(status)
+	data, err := json.Marshal(body)
+	if err != nil {
+		return // as json.Encoder, write nothing
+	}
+	// Write errors below mean the client is gone.
+	for _, raw := range schedules {
+		at := bytes.Index(data, scheduleSlot) + len(scheduleSlot) - len(schedulePlaceholder)
+		w.Write(data[:at])
+		w.Write(raw)
+		data = data[at+len(schedulePlaceholder):]
+	}
+	w.Write(data)
+	w.Write(newline)
+}
+
+var newline = []byte{'\n'}
+
+// schedulePlaceholder stands in for a reply's schedule while writeJSON
+// encodes the envelope around it, and scheduleSlot is how it renders.
+// writeJSON finds each slot by its bytes: no JSON string can contain them,
+// since a quote inside one is always escaped, and no key in a reply but
+// SolveResponse's own is named "schedule".
+var (
+	schedulePlaceholder = json.RawMessage("0")
+	scheduleSlot        = []byte(`"schedule":0`)
+)
+
+// detachSchedule swaps resp's schedule for schedulePlaceholder and appends
+// its bytes to schedules, for writeJSON to write verbatim.
+func detachSchedule(resp *SolveResponse, schedules [][]byte) [][]byte {
+	if len(resp.Schedule) == 0 {
+		return schedules
+	}
+	schedules = append(schedules, resp.Schedule)
+	resp.Schedule = schedulePlaceholder
+	return schedules
 }
 
 // errorStatus maps a pipeline error to its HTTP status.
@@ -331,9 +369,15 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request, count *atomic.
 	case err != nil:
 		s.writeError(w, status, err)
 	case rep.batch != nil:
-		s.writeJSON(w, rep.status, rep.batch)
+		var schedules [][]byte
+		for i := range rep.batch.Results {
+			schedules = detachSchedule(&rep.batch.Results[i], schedules)
+		}
+		s.writeJSON(w, rep.status, rep.batch, schedules...)
 	default:
-		s.writeJSON(w, rep.status, rep.resp)
+		var one [1][]byte // a single reply's list stays on the stack
+		schedules := detachSchedule(&rep.resp, one[:0])
+		s.writeJSON(w, rep.status, rep.resp, schedules...)
 	}
 }
 

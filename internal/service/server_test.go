@@ -819,3 +819,70 @@ func ExampleProblemHash() {
 	fmt.Println(len(h))
 	// Output: 64
 }
+
+// TestWriteJSONMatchesEncoder pins writeJSON's verbatim schedule splice to
+// the bytes json.Encoder writes for the same envelope: a reply with every
+// envelope field set and strings that need escaping (one that spells the
+// placeholder's slot among them), a batch whose elements alternate with
+// and without a schedule, and a body with no schedule at all.
+func TestWriteJSONMatchesEncoder(t *testing.T) {
+	sched := func(name string) json.RawMessage {
+		raw, err := json.Marshal(map[string]any{"graph": name, "replicas": []int{1, 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	full := SolveResponse{
+		SchemaVersion: Version,
+		Hash:          `"schedule":0 <&>`,
+		Cached:        true,
+		Coalesced:     true,
+		Schedule:      sched("<a> & \"b\" \\ \u2028 \xff"),
+		Summary:       &ScheduleSummary{Algorithm: `"schedule":0`, Stages: 2, LatencyBound: 30, Makespan: 4.5, CrossComms: 1},
+		Replan:        &ReplanStats{Replayed: 1, Repaired: 2},
+		Infeasible:    infeas.New(infeas.ReasonPeriodExceeded, 0, `"schedule":0`),
+		Scenarios:     []ScenarioResult{{Name: `"schedule":0`, Delivered: 3, Items: 4}},
+		Error:         `"schedule":0`,
+	}
+	batch := &BatchResponse{SchemaVersion: Version, Results: []SolveResponse{
+		full,
+		{SchemaVersion: Version, Hash: "h", Error: "no schedule"},
+		{SchemaVersion: Version, Hash: "h2", Schedule: sched("second")},
+	}}
+	srv := New(Config{})
+	for _, tc := range []struct {
+		name string
+		body any
+	}{
+		{"full reply", full},
+		{"batch", batch},
+		{"error", SolveResponse{SchemaVersion: Version, Error: "boom"}},
+		{"map", map[string]any{"status": "ok"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(tc.body); err != nil {
+				t.Fatal(err)
+			}
+			var schedules [][]byte
+			switch b := tc.body.(type) {
+			case SolveResponse:
+				schedules = detachSchedule(&b, nil)
+				tc.body = b
+			case *BatchResponse:
+				detached := *b
+				detached.Results = append([]SolveResponse(nil), b.Results...)
+				for i := range detached.Results {
+					schedules = detachSchedule(&detached.Results[i], schedules)
+				}
+				tc.body = &detached
+			}
+			rec := httptest.NewRecorder()
+			srv.writeJSON(rec, http.StatusOK, tc.body, schedules...)
+			if got := rec.Body.String(); got != want.String() {
+				t.Fatalf("writeJSON differs from json.Encoder:\n got %s\nwant %s", got, want.String())
+			}
+		})
+	}
+}

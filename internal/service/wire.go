@@ -280,7 +280,10 @@ type SolveResponse struct {
 	Coalesced bool `json:"coalesced,omitempty"`
 	// Schedule is the schedule interchange JSON (schedule.MarshalJSON): the
 	// solved one, or on /v1/replan the repaired (or cold-resolved) one for
-	// the post-delta platform. /v1/simulate omits it.
+	// the post-delta platform. /v1/simulate omits it. The server writes the
+	// bytes rendered at solve time verbatim, on a miss and on every cache
+	// hit: they are already compact and escaped, so the reply reads as if
+	// encoding/json had encoded it.
 	Schedule json.RawMessage  `json:"schedule,omitempty"`
 	Summary  *ScheduleSummary `json:"summary,omitempty"`
 	// Replan reports how a /v1/replan schedule was obtained: replayed /
@@ -363,12 +366,14 @@ type SimulateRequest struct {
 // or infeasibility, and the per-scenario measurements.
 type SimulateResponse = SolveResponse
 
-// summarize extracts the headline metrics.
+// summarize extracts the headline metrics; S and the latency bound
+// L = (2S−1)Δ come from one stage pass.
 func summarize(s *schedule.Schedule) *ScheduleSummary {
+	stages := s.Stages()
 	return &ScheduleSummary{
 		Algorithm:    s.Algorithm,
-		Stages:       s.Stages(),
-		LatencyBound: s.LatencyBound(),
+		Stages:       stages,
+		LatencyBound: float64(2*stages-1) * s.Period,
 		Makespan:     s.Makespan(),
 		CrossComms:   s.CrossComms(),
 	}

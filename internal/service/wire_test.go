@@ -21,6 +21,7 @@ import (
 	"streamsched/internal/infeas"
 	"streamsched/internal/platform"
 	"streamsched/internal/randgraph"
+	"streamsched/internal/repair"
 	"streamsched/internal/rng"
 	"streamsched/internal/schedule"
 )
@@ -237,6 +238,88 @@ func TestProblemHashDiscriminates(t *testing.T) {
 	}
 	seen := map[string]string{ref: "base"}
 	for kind, h := range perturbed {
+		if prev, dup := seen[h]; dup {
+			t.Errorf("perturbation %q collides with %q", kind, prev)
+		}
+		seen[h] = kind
+	}
+}
+
+// TestReplanHashDiscriminates is ReplanHash's counterpart of
+// TestProblemHashDiscriminates: changing any one hashed field of the
+// committed schedule, the delta or the repair policy changes the key, and
+// a wire round trip of the schedule does not.
+func TestReplanHashDiscriminates(t *testing.T) {
+	g := randgraph.ForkJoin(3, 2, 2, 3)
+	p := platform.Homogeneous(5, 1, 10)
+	sv, err := core.NewSolver(core.WithEps(1), core.WithPeriod(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, err := sv.Solve(context.Background(), g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := committed.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// fresh returns an independent copy of the committed schedule.
+	fresh := func() *schedule.Schedule {
+		s, err := schedule.LoadJSON(raw, g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	hash := func(sp ReplanSpec) string {
+		h, err := ReplanHash(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	base := ReplanSpec{Old: committed, Solver: sv}
+	ref := hash(base)
+	if h := hash(ReplanSpec{Old: fresh(), Solver: sv}); h != ref {
+		t.Fatalf("LoadJSON(MarshalJSON(s)) hashes differently: %s vs %s", h, ref)
+	}
+
+	// A replica with an input to perturb; the sink's first copy has one.
+	sink := schedule.Ref{Task: dag.TaskID(g.NumTasks() - 1)}
+	if len(committed.Replica(sink).In) == 0 {
+		t.Fatal("the sink's first copy has no input to perturb")
+	}
+	withSched := func(mutate func(s *schedule.Schedule)) ReplanSpec {
+		s := fresh()
+		mutate(s)
+		return ReplanSpec{Old: s, Solver: sv}
+	}
+	perturbed := map[string]ReplanSpec{
+		"replica proc":   withSched(func(s *schedule.Schedule) { s.Replica(sink).Proc = (s.Replica(sink).Proc + 1) % 5 }),
+		"replica start":  withSched(func(s *schedule.Schedule) { s.Replica(sink).Start += 0.5 }),
+		"replica finish": withSched(func(s *schedule.Schedule) { s.Replica(sink).Finish += 0.5 }),
+		"input copy":     withSched(func(s *schedule.Schedule) { s.Replica(sink).In[0].From.Copy ^= 1 }),
+		"input volume":   withSched(func(s *schedule.Schedule) { s.Replica(sink).In[0].Volume *= 1.0000001 }),
+		"input start":    withSched(func(s *schedule.Schedule) { s.Replica(sink).In[0].Start += 0.5 }),
+		"input finish":   withSched(func(s *schedule.Schedule) { s.Replica(sink).In[0].Finish += 0.5 }),
+		"added input": withSched(func(s *schedule.Schedule) {
+			r := s.Replica(sink)
+			r.In = append(r.In, r.In[0])
+		}),
+		"eps":       withSched(func(s *schedule.Schedule) { s.Eps = 2 }),
+		"period":    withSched(func(s *schedule.Schedule) { s.Period *= 1.0000001 }),
+		"algorithm": withSched(func(s *schedule.Schedule) { s.Algorithm = "LTF" }),
+		"lost":      {Old: committed, Solver: sv, Delta: core.Delta{Lost: []platform.ProcID{3}}},
+		"speed":     {Old: committed, Solver: sv, Delta: core.Delta{Speed: []repair.SpeedChange{{Proc: 1, Speed: 2}}}},
+		"bandwidth": {Old: committed, Solver: sv, Delta: core.Delta{Bandwidth: []repair.BandwidthChange{{From: 0, To: 1, Bandwidth: 5}}}},
+		"added":     {Old: committed, Solver: sv, Delta: core.Delta{Added: []repair.AddedProc{{Speed: 1, Links: []float64{10, 10, 10, 10, 10}}}}},
+		"budget":    {Old: committed, Solver: sv, RepairBudget: 3},
+		"fallback":  {Old: committed, Solver: sv, NoColdFallback: true},
+	}
+	seen := map[string]string{ref: "base"}
+	for kind, sp := range perturbed {
+		h := hash(sp)
 		if prev, dup := seen[h]; dup {
 			t.Errorf("perturbation %q collides with %q", kind, prev)
 		}

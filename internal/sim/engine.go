@@ -411,12 +411,17 @@ func (e *Engine) growRing() {
 	}
 }
 
-// Run simulates the schedule under cfg. A cancelled ctx aborts the event
-// loop with ctx.Err(). Buffers are recycled across calls; the returned
-// Result owns its slices.
+// Run simulates the schedule under cfg. Items ≤ 0 takes DefaultConfig's
+// item count, and then its warm-up too if Warmup ≤ 0; every other field is
+// kept. A cancelled ctx aborts the event loop with ctx.Err(). Buffers are
+// recycled across calls; the returned Result owns its slices.
 func (e *Engine) Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Items <= 0 {
-		cfg = DefaultConfig(e.s)
+		def := DefaultConfig(e.s)
+		cfg.Items = def.Items
+		if cfg.Warmup <= 0 {
+			cfg.Warmup = def.Warmup
+		}
 	}
 	if cfg.Warmup >= cfg.Items {
 		cfg.Warmup = cfg.Items / 2
@@ -494,11 +499,8 @@ func (e *Engine) reset(cfg Config) {
 	e.spans = nil
 	if cfg.Synchronous && !e.haveStages {
 		e.stage = make([]int32, e.nrep)
-		// Each map key writes one distinct slice index, so visit order
-		// cannot affect the result.
-		//nolint:determcheck // order-independent scatter into e.stage
-		for ref, st := range e.s.StageNumbers() {
-			e.stage[int(ref.Task)*e.epsP1+ref.Copy] = int32(st)
+		for i, st := range e.s.StageNumbers() {
+			e.stage[i] = int32(st)
 		}
 		e.haveStages = true
 	}

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"streamsched/internal/ltf"
 	"streamsched/internal/platform"
 	"streamsched/internal/randgraph"
 	"streamsched/internal/rltf"
@@ -152,5 +153,38 @@ func TestRingGrowth(t *testing.T) {
 		if math.Abs(lat-want) > 1e-9 {
 			t.Fatalf("item %d latency = %v, want %v", k, lat, want)
 		}
+	}
+}
+
+// TestRunDefaultItemsKeepsConfig pins that Items ≤ 0 fills in only
+// DefaultConfig's item count and warm-up: the synchronous mode, the crash
+// and the trace request must survive. On the ε=1 LTF butterfly with
+// processor 0 down from the start, the synchronous mean latency is 186;
+// dropping the config would report the fault-free dataflow 22.
+func TestRunDefaultItemsKeepsConfig(t *testing.T) {
+	s, err := ltf.Schedule(context.Background(), randgraph.Butterfly(3, 3, 1), platform.Homogeneous(10, 1, 1), 1, 30, ltf.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Synchronous: true, Failures: FailureSpec{Procs: []platform.ProcID{0}}, TraceItems: 2}
+	got, err := Run(context.Background(), s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := DefaultConfig(s)
+	cfg.Items, cfg.Warmup = def.Items, def.Warmup
+	want, err := Run(context.Background(), s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameResult(got, want) {
+		t.Fatalf("Items=0 diverges from DefaultConfig's items: mean latency %v, %d trace spans; want %v, %d",
+			got.MeanLatency, len(got.Trace), want.MeanLatency, len(want.Trace))
+	}
+	if got.MeanLatency != 186 {
+		t.Fatalf("mean latency %v, want the synchronous crash run's 186", got.MeanLatency)
+	}
+	if len(got.Trace) == 0 {
+		t.Fatal("no trace recorded for TraceItems 2")
 	}
 }

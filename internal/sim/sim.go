@@ -54,10 +54,12 @@ type FailureSpec struct {
 
 // Config controls a simulation run.
 type Config struct {
-	// Items is the number of data items streamed through the pipeline.
+	// Items is the number of data items streamed through the pipeline
+	// (≤ 0 → DefaultConfig's).
 	Items int
 	// Warmup is the number of leading items excluded from the latency
-	// statistics (pipeline fill).
+	// statistics (pipeline fill; DefaultConfig's when Items and Warmup are
+	// both ≤ 0).
 	Warmup int
 	// Failures optionally injects processor crashes.
 	Failures FailureSpec

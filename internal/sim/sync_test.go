@@ -81,7 +81,7 @@ func TestSynchronousNearBound(t *testing.T) {
 		for _, x := range s.G.Exits() {
 			minCopy := 1 << 30
 			for c := 0; c <= s.Eps; c++ {
-				if st := stages[schedule.Ref{Task: x, Copy: c}]; st < minCopy {
+				if st := stages[s.Index(schedule.Ref{Task: x, Copy: c})]; st < minCopy {
 					minCopy = st
 				}
 			}

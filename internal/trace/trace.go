@@ -103,7 +103,7 @@ func FromSchedule(s *schedule.Schedule) []Span {
 			Args: map[string]any{
 				"task":  int(r.Ref.Task),
 				"copy":  r.Ref.Copy,
-				"stage": stages[r.Ref],
+				"stage": stages[s.Index(r.Ref)],
 			},
 		})
 		for _, c := range r.In {

@@ -110,6 +110,26 @@ func TestGoldenServiceReplies(t *testing.T) {
 		Scenarios: []streamsched.WireScenario{{CrashProcs: []int{9}}},
 	})
 
+	// escaping: graph and task names that encoding/json escapes — the
+	// HTML-significant <, > and &, a quote, a backslash, U+2028 and an
+	// invalid UTF-8 byte (which the request encoding already turns into
+	// U+FFFD) — through a solve, its cache hit and a batch.
+	const odd = "<a> & \"b\" \\ \u2028 \xff"
+	oddDAG := dag.New("esc " + odd)
+	oddPrev := oddDAG.AddTask("src "+odd, 2)
+	for i := 1; i < 4; i++ {
+		oddCur := oddDAG.AddTask(fmt.Sprintf("t%d %s", i, odd), 2)
+		oddDAG.MustAddEdge(oddPrev, oddCur, 3)
+		oddPrev = oddCur
+	}
+	oddSolve := streamsched.WireSolveRequest{Graph: streamsched.NewWireGraph(oddDAG), Platform: plat, Options: opts}
+	post("escaping/solve", "/v1/solve", oddSolve)
+	post("escaping/cached", "/v1/solve", oddSolve)
+	post("escaping/batch", "/v1/batch", streamsched.WireBatchRequest{
+		Options:  opts,
+		Problems: []streamsched.WireBatchProblem{{Graph: oddSolve.Graph, Platform: plat}, {Graph: graph, Platform: plat}},
+	})
+
 	// errors
 	send("error/method", http.MethodGet, "/v1/solve", nil)
 	send("error/bad-json", http.MethodPost, "/v1/solve", []byte(`{"graph":`))
