@@ -40,7 +40,8 @@ lint: fmt vet
 # target a short exploration budget. Same step CI runs.
 FUZZTIME ?= 15s
 fuzz:
-	$(GO) test -run Fuzz ./internal/service/ ./internal/schedule/
+	$(GO) test -run Fuzz . ./internal/service/ ./internal/schedule/
+	$(GO) test -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalProblemHash -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/service/
@@ -67,12 +68,15 @@ bench-record:
 	$(GO) run ./cmd/bench -bench '$(BENCH_RE)' -benchtime $(BENCHTIME) -count $(COUNT)
 
 # bench-compare is exactly the CI bench gate: red on >25% ns/op, >10%
-# allocs/op, >10% wakes/op or any events/op change (a rise or a fall) vs the
-# committed baseline.
+# allocs/op, >10% wakes/op or any change (a rise or a fall) in events/op or
+# in the solver's trials/op, placements/op, rollbacks/op and fallbacks/op
+# vs the committed baseline.
 bench-compare:
 	$(GO) run ./cmd/bench -bench '$(BENCH_RE)' -benchtime $(BENCHTIME) -count $(COUNT) \
 		-baseline BENCH_baseline.json -alloc-tolerance 0.10 \
-		-metric-tolerance wakes/op=0.10 -metric-tolerance events/op=0 -out BENCH_ci.json
+		-metric-tolerance wakes/op=0.10 -metric-tolerance events/op=0 \
+		-metric-tolerance trials/op=0 -metric-tolerance placements/op=0 \
+		-metric-tolerance rollbacks/op=0 -metric-tolerance fallbacks/op=0 -out BENCH_ci.json
 
 # bench-trend prints the per-benchmark ns/op and allocs/op trajectory over
 # the recorded artifacts (BENCH_*.json under BENCH_DIR) with per-step deltas.

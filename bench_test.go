@@ -17,6 +17,7 @@ import (
 	"streamsched"
 	"streamsched/internal/experiments"
 	"streamsched/internal/ltf"
+	"streamsched/internal/obs"
 	"streamsched/internal/oneport"
 	"streamsched/internal/platform"
 	"streamsched/internal/randgraph"
@@ -147,8 +148,56 @@ func BenchmarkAblationChunk(b *testing.B) {
 	}
 }
 
+// workUnits maps each mapper.PhaseCounters span argument to the per-op
+// unit the bench gate pins exactly.
+var workUnits = [...]struct{ arg, unit string }{
+	{"trials", "trials/op"},
+	{"placements", "placements/op"},
+	{"rollbacks", "rollbacks/op"},
+	{"fallbacks", "fallbacks/op"},
+}
+
+// solverWork is the placement work of one solve or replan, by gate unit.
+type solverWork map[string]float64
+
+// tracedWork runs solve once under a trace and sums the phase counters
+// that its ltf, rltf or repair spans carry (the span arguments perfbench
+// reads too). The counts are deterministic, so one run gives the per-op
+// value. Call it before b.ResetTimer, which discards the traced run's time
+// and allocations, and report the result after the loop, since ResetTimer
+// also drops reported metrics.
+func tracedWork(solve func(context.Context) error) (solverWork, error) {
+	obs.Enable()
+	defer obs.Disable()
+	tr := obs.NewTrace("bench")
+	if err := solve(obs.ContextWith(context.Background(), tr.Root())); err != nil {
+		return nil, err
+	}
+	tr.Finish(0)
+	w := solverWork{}
+	for _, sp := range tr.Snapshot().Spans {
+		if sp.Name != "ltf" && sp.Name != "rltf" && sp.Name != "repair" {
+			continue
+		}
+		for _, u := range workUnits {
+			if v, ok := sp.Args[u.arg].(int64); ok {
+				w[u.unit] += float64(v)
+			}
+		}
+	}
+	return w, nil
+}
+
+// report attaches the work counts to the benchmark result.
+func (w solverWork) report(b *testing.B) {
+	for unit, v := range w {
+		b.ReportMetric(v, unit)
+	}
+}
+
 // BenchmarkLTF and BenchmarkRLTF measure scheduling cost on paper-sized
-// instances (v ∈ [50,150], m = 20).
+// instances (v ∈ [50,150], m = 20), with the placement work as per-op
+// counts.
 func BenchmarkLTF(b *testing.B) {
 	for _, eps := range []int{1, 3} {
 		b.Run(fmt.Sprintf("eps=%d", eps), func(b *testing.B) {
@@ -156,12 +205,21 @@ func BenchmarkLTF(b *testing.B) {
 			p := platform.RandomHeterogeneous(r, 20, 0.5, 1, 0.5, 1, 100)
 			cfg := randgraph.DefaultStreamConfig()
 			g := randgraph.Stream(r, cfg, p)
+			solve := func(ctx context.Context) error {
+				_, err := ltf.Schedule(ctx, g, p, eps, 10*float64(eps+1), ltf.Options{})
+				return err
+			}
+			work, err := tracedWork(solve)
+			if err != nil {
+				b.Skip("infeasible instance")
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ltf.Schedule(context.Background(), g, p, eps, 10*float64(eps+1), ltf.Options{}); err != nil {
+				if err := solve(context.Background()); err != nil {
 					b.Skip("infeasible instance")
 				}
 			}
+			work.report(b)
 		})
 	}
 }
@@ -227,9 +285,10 @@ func BenchmarkReplanHash(b *testing.B) {
 
 // BenchmarkLTFLookahead records the speculative-lookahead quality/cost
 // points: for each window size k, the construction cost (ns/op) plus the
-// resulting schedule's stage count and latency bound as custom metrics.
-// k=1 is the plain loop; k>1 scores per-window candidate strategies under
-// a window transaction and keeps the best. Part of the CI perf gate.
+// resulting schedule's stage count and latency bound and the placement work
+// as custom metrics. k=1 is the plain loop; k>1 scores per-window candidate
+// strategies under a window transaction and keeps the best. Part of the CI
+// perf gate.
 func BenchmarkLTFLookahead(b *testing.B) {
 	for _, algo := range []string{"ltf", "rltf"} {
 		for _, k := range []int{1, 2, 4} {
@@ -238,25 +297,28 @@ func BenchmarkLTFLookahead(b *testing.B) {
 				p := platform.RandomHeterogeneous(r, 20, 0.5, 1, 0.5, 1, 100)
 				cfg := randgraph.DefaultStreamConfig()
 				g := randgraph.Stream(r, cfg, p)
-				stages, bound := 0, 0.0
+				var s *streamsched.Schedule
+				solve := func(ctx context.Context) (err error) {
+					if algo == "ltf" {
+						s, err = ltf.Schedule(ctx, g, p, 1, 20, ltf.Options{Lookahead: k})
+					} else {
+						s, err = rltf.Schedule(ctx, g, p, 1, 20, rltf.Options{Lookahead: k})
+					}
+					return err
+				}
+				work, err := tracedWork(solve)
+				if err != nil {
+					b.Skip("infeasible instance")
+				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					var (
-						s   *streamsched.Schedule
-						err error
-					)
-					if algo == "ltf" {
-						s, err = ltf.Schedule(context.Background(), g, p, 1, 20, ltf.Options{Lookahead: k})
-					} else {
-						s, err = rltf.Schedule(context.Background(), g, p, 1, 20, rltf.Options{Lookahead: k})
-					}
-					if err != nil {
+					if err := solve(context.Background()); err != nil {
 						b.Skip("infeasible instance")
 					}
-					stages, bound = s.Stages(), s.LatencyBound()
 				}
-				b.ReportMetric(float64(stages), "stages")
-				b.ReportMetric(bound, "latency")
+				b.ReportMetric(float64(s.Stages()), "stages")
+				b.ReportMetric(s.LatencyBound(), "latency")
+				work.report(b)
 			})
 		}
 	}
@@ -269,12 +331,21 @@ func BenchmarkRLTF(b *testing.B) {
 			p := platform.RandomHeterogeneous(r, 20, 0.5, 1, 0.5, 1, 100)
 			cfg := randgraph.DefaultStreamConfig()
 			g := randgraph.Stream(r, cfg, p)
+			solve := func(ctx context.Context) error {
+				_, err := rltf.Schedule(ctx, g, p, eps, 10*float64(eps+1), rltf.Options{})
+				return err
+			}
+			work, err := tracedWork(solve)
+			if err != nil {
+				b.Skip("infeasible instance")
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := rltf.Schedule(context.Background(), g, p, eps, 10*float64(eps+1), rltf.Options{}); err != nil {
+				if err := solve(context.Background()); err != nil {
 					b.Skip("infeasible instance")
 				}
 			}
+			work.report(b)
 		})
 	}
 }
@@ -384,22 +455,21 @@ func populateSystem(m, n int) *oneport.System {
 	p := platform.RandomHeterogeneous(r, m, 0.5, 1, 0.5, 1, 100)
 	s := oneport.NewSystem(p)
 	for i := 0; i < n; i++ {
-		txn := s.Begin()
 		if r.Bool(0.4) {
-			txn.Compute(platform.ProcID(r.IntN(m)), r.Uniform(0.1, 2), r.Uniform(0, 50))
+			s.Compute(platform.ProcID(r.IntN(m)), r.Uniform(0.1, 2), r.Uniform(0, 50))
 		} else {
-			txn.Transfer(platform.ProcID(r.IntN(m)), platform.ProcID(r.IntN(m)),
+			s.Transfer(platform.ProcID(r.IntN(m)), platform.ProcID(r.IntN(m)),
 				r.Uniform(1, 40), r.Uniform(0, 50))
 		}
-		txn.Commit()
 	}
 	return s
 }
 
 // BenchmarkTxnRollback measures a journaled rollback on a committed
-// backdrop: one op takes a rollback mark, commits two replicas' worth of
-// reservations (two transfers and a compute each, the reverse-mode retry
-// shape), and rolls them back — O(changes), not O(total reservations).
+// backdrop: one op takes a rollback mark, reserves two replicas' worth of
+// transfers and computes (two transfers and a compute each, the
+// reverse-mode retry shape), and rolls them back — O(changes), not
+// O(total reservations).
 func BenchmarkTxnRollback(b *testing.B) {
 	s := populateSystem(20, 2000)
 	b.ReportAllocs()
@@ -407,11 +477,9 @@ func BenchmarkTxnRollback(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mark := s.Mark()
 		for rep := 0; rep < 2; rep++ {
-			txn := s.Begin()
-			txn.Transfer(1, 5, 30, 10)
-			txn.Transfer(2, 5, 20, 15)
-			txn.Compute(5, 1.5, 20)
-			txn.Commit()
+			s.Transfer(1, 5, 30, 10)
+			s.Transfer(2, 5, 20, 15)
+			s.Compute(5, 1.5, 20)
 		}
 		s.Rollback(mark)
 	}
@@ -500,16 +568,28 @@ func BenchmarkReplan(b *testing.B) {
 	cases, solver := replanBenchCases(b)
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := solver.Replan(context.Background(), tc.old, tc.delta)
+			replan := func(ctx context.Context) error {
+				res, err := solver.Replan(ctx, tc.old, tc.delta)
 				if err != nil {
-					b.Fatal(err)
+					return err
 				}
 				if res.Stats.ColdSolve {
-					b.Fatal("repair fell back to a cold solve; the benchmark measures incremental repair")
+					return fmt.Errorf("repair fell back to a cold solve; the benchmark measures incremental repair")
+				}
+				return nil
+			}
+			work, err := tracedWork(replan)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := replan(context.Background()); err != nil {
+					b.Fatal(err)
 				}
 			}
+			work.report(b)
 		})
 	}
 }
@@ -525,13 +605,22 @@ func BenchmarkReplanCold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			solve := func(ctx context.Context) error {
+				_, err := solver.Solve(ctx, tc.old.G, newP)
+				return err
+			}
+			work, err := tracedWork(solve)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := solver.Solve(context.Background(), tc.old.G, newP); err != nil {
+				if err := solve(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
+			work.report(b)
 		})
 	}
 }

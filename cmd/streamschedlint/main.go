@@ -1,5 +1,5 @@
 // Command streamschedlint runs the repo's static invariant suite
-// (DESIGN.md §9): txncheck, determcheck, ctxcheck and hotpathcheck.
+// (DESIGN.md §9): determcheck, ctxcheck and hotpathcheck.
 //
 // It speaks the `go vet -vettool` protocol, so both forms work:
 //

@@ -3,12 +3,12 @@
 // analysistest on the standard library alone.
 //
 // Fixtures live under <testdata>/src/<importpath>/ and may reuse real
-// import paths (e.g. streamsched/internal/oneport backed by a stub), so an
+// import paths (e.g. streamsched/internal/obs backed by a stub), so an
 // analyzer keyed on production package paths exercises against the same
 // paths it matches in the tree. A fixture line carrying an expected
 // finding says:
 //
-//	sys.Begin() // want `result of Begin discarded`
+//	ctx := context.Background() // want `context.Background below core`
 //
 // Each string after `want` is a regular expression (quoted or backquoted)
 // that must match a diagnostic reported on that line; diagnostics without

@@ -7,12 +7,10 @@ import (
 	"streamsched/internal/analysis/ctxcheck"
 	"streamsched/internal/analysis/determcheck"
 	"streamsched/internal/analysis/hotpathcheck"
-	"streamsched/internal/analysis/txncheck"
 )
 
 // All is every analyzer streamschedlint runs, in reporting order.
 var All = []*analysis.Analyzer{
-	txncheck.Analyzer,
 	determcheck.Analyzer,
 	ctxcheck.Analyzer,
 	hotpathcheck.Analyzer,

@@ -81,28 +81,28 @@ func (ls *listState) feasible(t dag.TaskID, u platform.ProcID) bool {
 
 // trial returns the start and finish a placement of t on u would get.
 func (ls *listState) trial(t dag.TaskID, u platform.ProcID) (start, finish float64) {
-	txn := ls.sys.Begin()
-	defer txn.Abort()
+	m := ls.sys.Mark()
 	ready := 0.0
 	for _, e := range ls.g.Pred(t) {
 		src := ls.sched.Replica(schedule.Ref{Task: e.From})
-		_, fin := txn.Transfer(src.Proc, u, e.Volume, src.Finish)
+		_, fin := ls.sys.Transfer(src.Proc, u, e.Volume, src.Finish)
 		if fin > ready {
 			ready = fin
 		}
 	}
-	return txn.Compute(u, ls.g.Task(t).Work, ready)
+	start, finish = ls.sys.Compute(u, ls.g.Task(t).Work, ready)
+	ls.sys.Rollback(m)
+	return start, finish
 }
 
 // commit places t on u for real.
 func (ls *listState) commit(t dag.TaskID, u platform.ProcID) {
-	txn := ls.sys.Begin()
 	ready := 0.0
 	ref := schedule.Ref{Task: t}
 	var in []schedule.Comm
 	for _, e := range ls.g.Pred(t) {
 		src := ls.sched.Replica(schedule.Ref{Task: e.From})
-		cs, cf := txn.Transfer(src.Proc, u, e.Volume, src.Finish)
+		cs, cf := ls.sys.Transfer(src.Proc, u, e.Volume, src.Finish)
 		in = append(in, schedule.Comm{From: src.Ref, Volume: e.Volume, Start: cs, Finish: cf})
 		if cf > ready {
 			ready = cf
@@ -113,8 +113,7 @@ func (ls *listState) commit(t dag.TaskID, u platform.ProcID) {
 			ls.cout[src.Proc] += d
 		}
 	}
-	start, finish := txn.Compute(u, ls.g.Task(t).Work, ready)
-	txn.Commit()
+	start, finish := ls.sys.Compute(u, ls.g.Task(t).Work, ready)
 	ls.sigma[u] += finish - start
 	ls.sched.AddReplica(&schedule.Replica{Ref: ref, Proc: u, Start: start, Finish: finish, In: in})
 }

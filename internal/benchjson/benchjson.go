@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -204,7 +205,9 @@ type Delta struct {
 	NsRatio     float64
 	AllocsRatio float64 // 0 when either side lacks -benchmem data
 	// MetricRatios holds current/baseline per custom-metric unit (wakes/op,
-	// comms, …) for units present with a positive value on both sides.
+	// comms, …) for units present on both sides. A zero baseline reads 1
+	// when the current value is zero too and +Inf otherwise, so a count
+	// that was zero stays gated.
 	MetricRatios map[string]float64
 	Missing      bool // benchmark present in baseline but not in current
 }
@@ -233,13 +236,20 @@ func Compare(baseline, current *File) []Delta {
 		}
 		for unit, bv := range b.Metrics {
 			cv, ok := c.Metrics[unit]
-			if !ok || bv <= 0 {
+			if !ok {
 				continue
 			}
 			if d.MetricRatios == nil {
 				d.MetricRatios = map[string]float64{}
 			}
-			d.MetricRatios[unit] = cv / bv
+			switch {
+			case bv > 0:
+				d.MetricRatios[unit] = cv / bv
+			case cv == bv:
+				d.MetricRatios[unit] = 1
+			default:
+				d.MetricRatios[unit] = math.Inf(1)
+			}
 		}
 		deltas = append(deltas, d)
 	}

@@ -177,9 +177,10 @@ func TestCompareAndRegressionsCustomMetrics(t *testing.T) {
 	}
 }
 
-// TestRegressionsExactMetricGate covers the three cases of a custom-metric
-// gate: tolerance 0 fails on any change in either direction, a nonzero
-// tolerance checks growth only, and a benchmark that does not report the
+// TestRegressionsExactMetricGate covers the cases of a custom-metric gate:
+// tolerance 0 fails on any change in either direction, a nonzero tolerance
+// checks growth only, a zero baseline fails once the count appears and
+// passes while it stays zero, and a benchmark that does not report the
 // unit stays ungated rather than reading as a ratio of 0.
 func TestRegressionsExactMetricGate(t *testing.T) {
 	base := &File{Results: []Result{
@@ -187,12 +188,16 @@ func TestRegressionsExactMetricGate(t *testing.T) {
 		{Name: "Rise", NsOp: 1000, Metrics: map[string]float64{"events/op": 47000, "wakes/op": 100}},
 		{Name: "Same", NsOp: 1000, Metrics: map[string]float64{"events/op": 47000, "wakes/op": 100}},
 		{Name: "Unreported", NsOp: 1000},
+		{Name: "FromZero", NsOp: 1000, Metrics: map[string]float64{"events/op": 0, "wakes/op": 0}},
+		{Name: "StillZero", NsOp: 1000, Metrics: map[string]float64{"events/op": 0, "wakes/op": 0}},
 	}}
 	cur := &File{Results: []Result{
 		{Name: "Fall", NsOp: 1000, Metrics: map[string]float64{"events/op": 40000, "wakes/op": 50}},
 		{Name: "Rise", NsOp: 1000, Metrics: map[string]float64{"events/op": 50000, "wakes/op": 100}},
 		{Name: "Same", NsOp: 1000, Metrics: map[string]float64{"events/op": 47000, "wakes/op": 105}},
 		{Name: "Unreported", NsOp: 1000},
+		{Name: "FromZero", NsOp: 1000, Metrics: map[string]float64{"events/op": 3, "wakes/op": 3}},
+		{Name: "StillZero", NsOp: 1000, Metrics: map[string]float64{"events/op": 0, "wakes/op": 0}},
 	}}
 	deltas := Compare(base, cur)
 	if _, ok := deltas[3].MetricRatios["events/op"]; ok {
@@ -205,14 +210,15 @@ func TestRegressionsExactMetricGate(t *testing.T) {
 		}
 		return out
 	}
-	// Tolerance 0: the fall (×0.851) fails as well as the rise.
-	if got := names(Regressions(deltas, 0.25, -1, map[string]float64{"events/op": 0})); !slices.Equal(got, []string{"Fall", "Rise"}) {
-		t.Fatalf("events/op=0 gate flags %v, want [Fall Rise]", got)
+	// Tolerance 0: the fall (×0.851) fails as well as the rise, and so
+	// does a count appearing where the baseline had none.
+	if got := names(Regressions(deltas, 0.25, -1, map[string]float64{"events/op": 0})); !slices.Equal(got, []string{"Fall", "Rise", "FromZero"}) {
+		t.Fatalf("events/op=0 gate flags %v, want [Fall Rise FromZero]", got)
 	}
-	// A nonzero tolerance checks growth only: halving wakes passes, and
-	// +5% is inside a 10% gate.
-	if got := names(Regressions(deltas, 0.25, -1, map[string]float64{"wakes/op": 0.10})); len(got) != 0 {
-		t.Fatalf("wakes/op=0.10 gate flags %v, want none", got)
+	// A nonzero tolerance checks growth only: halving wakes passes, +5% is
+	// inside a 10% gate, and growth from zero is unbounded.
+	if got := names(Regressions(deltas, 0.25, -1, map[string]float64{"wakes/op": 0.10})); !slices.Equal(got, []string{"FromZero"}) {
+		t.Fatalf("wakes/op=0.10 gate flags %v, want [FromZero]", got)
 	}
 }
 

@@ -68,7 +68,8 @@ func Schedule(ctx context.Context, g *dag.Graph, p *platform.Platform, eps int, 
 // every copy through the fallback — because a mixture would leave the
 // consumers that are no chain's head fed only by the fallback copies, an
 // untracked vulnerability (see mapper's discipline note). A mid-way
-// one-to-one failure rolls the task back through a mapper transaction.
+// one-to-one failure rolls the task back through a mapper transaction
+// (State.Try).
 //
 // With opts.Lookahead > 1 the loop pops windows of k ready tasks and places
 // each window speculatively (placeSpeculative); otherwise it is the plain
@@ -204,33 +205,32 @@ func placeVariant(st *mapper.State, chunk []dag.TaskID, variant int, betterFor f
 }
 
 // placeSpeculative is the lookahead driver: each placement strategy builds
-// the whole window under a mapper transaction, the complete placements are
-// scored by (max stage, max finish) over the window's replicas — lower is
-// better, ties keep the earlier variant — and after every variant has been
-// rolled back the winner re-runs for keeps (the machinery is deterministic,
-// so the re-run reproduces the scored placement exactly). When every
-// variant fails the error of the canonical strategy is returned, so
-// infeasibility classification matches the non-speculative loop.
+// the whole window inside one mapper transaction (State.Try), the complete
+// placement is scored by (max stage, max finish) over the window's replicas
+// — lower is better, ties keep the earlier variant — and rolled back, and
+// the winner re-runs for keeps (the machinery is deterministic, so the
+// re-run reproduces the scored placement exactly). When every variant
+// fails the error of the canonical strategy is returned, so infeasibility
+// classification matches the non-speculative loop.
 func placeSpeculative(st *mapper.State, chunk []dag.TaskID, betterFor func(dag.TaskID) mapper.Better, cs obs.SpanRef) error {
 	const variants = 2
 	best := -1
 	bestStage, bestFin := 0, 0.0
 	var firstErr error
 	for v := 0; v < variants; v++ {
-		st.Begin(chunk...)
-		err := placeVariant(st, chunk, v, betterFor, cs)
-		if err != nil {
-			if v == 0 {
-				firstErr = err
+		st.Try(chunk, func() bool {
+			if err := placeVariant(st, chunk, v, betterFor, cs); err != nil {
+				if v == 0 {
+					firstErr = err
+				}
+				return false
 			}
-			st.Abort()
-			continue
-		}
-		stage, fin := windowScore(st, chunk)
-		if best < 0 || stage < bestStage || (stage == bestStage && fin < bestFin) {
-			best, bestStage, bestFin = v, stage, fin
-		}
-		st.Abort()
+			stage, fin := windowScore(st, chunk)
+			if best < 0 || stage < bestStage || (stage == bestStage && fin < bestFin) {
+				best, bestStage, bestFin = v, stage, fin
+			}
+			return false
+		})
 	}
 	if best < 0 {
 		return firstErr
@@ -264,8 +264,8 @@ func windowScore(st *mapper.State, chunk []dag.TaskID) (stage int, fin float64) 
 // comparator first; if the aggressive merging runs the chains into a wall,
 // a full chain with the finish-time comparator (which spreads load); and
 // only then the all-fallback placement with its (ε+1)²-per-edge
-// communications. Each failed rung rolls back through a mapper transaction
-// (journaled undo, O(changes)).
+// communications. Each rung runs inside a mapper transaction (State.Try),
+// so a failed rung rolls back through the journal in O(changes).
 func placeTaskAllOrNothing(st *mapper.State, t dag.TaskID, better mapper.Better, sp obs.SpanRef) error {
 	if !st.OneToOneOff && st.Theta(st.Pools(t)) >= st.Eps+1 {
 		for rung := 0; rung < 2; rung++ {
@@ -274,19 +274,16 @@ func placeTaskAllOrNothing(st *mapper.State, t dag.TaskID, better mapper.Better,
 				b = mapper.MinFinish
 			}
 			pools := st.Pools(t)
-			st.Begin(t)
-			ok := true
-			for n := 0; n <= st.Eps; n++ {
-				if !st.OneToOne(t, n, pools, b) {
-					ok = false
-					break
+			if st.Try([]dag.TaskID{t}, func() bool {
+				for n := 0; n <= st.Eps; n++ {
+					if !st.OneToOne(t, n, pools, b) {
+						return false
+					}
 				}
-			}
-			if ok {
-				st.Commit()
+				return true
+			}) {
 				return nil
 			}
-			st.Abort()
 			if sp.Active() {
 				sp.Event("rollback", map[string]any{"task": int(t), "rung": rung})
 			}

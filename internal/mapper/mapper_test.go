@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -28,6 +29,17 @@ func newState(t *testing.T, g *dag.Graph, m, eps int, period float64) *State {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// commit places copy c of task on u with the given sources the way the
+// placement procedures do: it evaluates the candidate and commits it.
+func commit(t *testing.T, st *State, task dag.TaskID, c int, u platform.ProcID, sources []schedule.Ref) *schedule.Replica {
+	t.Helper()
+	cand, ok, why := st.evalCandidate(task, u, sources, false)
+	if !ok {
+		t.Fatalf("placing copy %d of task %d on %d: infeasible (%v)", c, task, u, why)
+	}
+	return st.CommitPlace(task, c, cand)
 }
 
 func TestNewRejectsTooFewProcs(t *testing.T) {
@@ -62,7 +74,7 @@ func TestReadyAndChunks(t *testing.T) {
 	if len(chunk) != 1 || chunk[0] != a {
 		t.Fatalf("chunk = %v, want highest-priority task a", chunk)
 	}
-	st.CommitPlace(a, 0, 0, nil)
+	commit(t, st, a, 0, 0, nil)
 	st.MarkScheduled(chunk)
 	// c becomes ready after a.
 	if st.ReadyCount() != 2 {
@@ -77,7 +89,7 @@ func TestMarkScheduledTwicePanics(t *testing.T) {
 	g := chainAB()
 	st := newState(t, g, 2, 0, 100)
 	chunk := st.PopChunk(1)
-	st.CommitPlace(chunk[0], 0, 0, nil)
+	commit(t, st, chunk[0], 0, 0, nil)
 	st.MarkScheduled(chunk)
 	defer func() {
 		if recover() == nil {
@@ -105,7 +117,7 @@ func TestFeasibleComputeBudget(t *testing.T) {
 	if !feasible(t, st, 0, 0, nil) {
 		t.Fatal("empty processor must accept one unit task")
 	}
-	st.CommitPlace(0, 0, 0, nil)
+	commit(t, st, 0, 0, 0, nil)
 	st.MarkScheduled([]dag.TaskID{0})
 	// Second unit task would push Σ to 2 > 1.5.
 	if feasible(t, st, 1, 0, []schedule.Ref{{Task: 0, Copy: 0}}) {
@@ -126,7 +138,7 @@ func TestFeasiblePortBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.CommitPlace(0, 0, 0, nil)
+	commit(t, st, 0, 0, 0, nil)
 	st.MarkScheduled([]dag.TaskID{0})
 	// Cross-processor comm time = 3 > 2.5: C^I budget violated even though
 	// Σ_1 = 1 would fit.
@@ -143,7 +155,7 @@ func TestFeasibleRejectsSameProcCopies(t *testing.T) {
 	g := dag.New("one")
 	g.AddTask("a", 0.1)
 	st := newState(t, g, 3, 1, 100)
-	st.CommitPlace(0, 0, 1, nil)
+	commit(t, st, 0, 0, 1, nil)
 	if feasible(t, st, 0, 1, nil) {
 		t.Fatal("two copies on one processor accepted")
 	}
@@ -155,9 +167,9 @@ func TestFeasibleRejectsSameProcCopies(t *testing.T) {
 func TestCommitPlaceUpdatesLoads(t *testing.T) {
 	g := chainAB()
 	st := newState(t, g, 2, 0, 100)
-	st.CommitPlace(0, 0, 0, nil)
+	commit(t, st, 0, 0, 0, nil)
 	st.MarkScheduled([]dag.TaskID{0})
-	st.CommitPlace(1, 0, 1, []schedule.Ref{{Task: 0, Copy: 0}})
+	commit(t, st, 1, 0, 1, []schedule.Ref{{Task: 0, Copy: 0}})
 	if st.Sigma[0] != 1 || st.Sigma[1] != 1 {
 		t.Fatalf("Σ = %v", st.Sigma)
 	}
@@ -175,13 +187,13 @@ func TestCommitPlaceUpdatesLoads(t *testing.T) {
 func TestTrialFinishMatchesCommit(t *testing.T) {
 	g := chainAB()
 	st := newState(t, g, 2, 0, 100)
-	st.CommitPlace(0, 0, 0, nil)
+	commit(t, st, 0, 0, 0, nil)
 	st.MarkScheduled([]dag.TaskID{0})
 	cand, ok, _ := st.evalCandidate(1, 1, []schedule.Ref{{Task: 0, Copy: 0}}, true)
 	if !ok {
 		t.Fatal("feasible candidate rejected")
 	}
-	rep := st.CommitPlace(1, 0, 1, []schedule.Ref{{Task: 0, Copy: 0}})
+	rep := st.CommitPlace(1, 0, cand)
 	if rep.Finish != cand.Finish {
 		t.Fatalf("trial %v vs commit %v", cand.Finish, rep.Finish)
 	}
@@ -193,7 +205,7 @@ func TestTrialFinishMatchesCommit(t *testing.T) {
 func TestTrialFinishDoesNotMutate(t *testing.T) {
 	g := chainAB()
 	st := newState(t, g, 2, 0, 100)
-	st.CommitPlace(0, 0, 0, nil)
+	commit(t, st, 0, 0, 0, nil)
 	before, mark := st.Sys.Comp(1).Len(), st.Sys.Mark()
 	if _, ok, _ := st.evalCandidate(1, 1, []schedule.Ref{{Task: 0, Copy: 0}}, true); !ok {
 		t.Fatal("feasible candidate rejected")
@@ -214,10 +226,10 @@ func TestPoolsAndTheta(t *testing.T) {
 	g.MustAddEdge(a, c, 1)
 	g.MustAddEdge(b, c, 1)
 	st := newState(t, g, 6, 1, 100)
-	st.CommitPlace(a, 0, 0, nil)
-	st.CommitPlace(a, 1, 1, nil)
-	st.CommitPlace(b, 0, 2, nil)
-	st.CommitPlace(b, 1, 3, nil)
+	commit(t, st, a, 0, 0, nil)
+	commit(t, st, a, 1, 1, nil)
+	commit(t, st, b, 0, 2, nil)
+	commit(t, st, b, 1, 3, nil)
 	st.MarkScheduled([]dag.TaskID{a, b})
 	pools := st.Pools(c)
 	if len(pools) != 2 || len(pools[0]) != 2 || len(pools[1]) != 2 {
@@ -294,14 +306,17 @@ func TestTaskTransactionRollback(t *testing.T) {
 	st := newState(t, g, 4, 1, 100)
 	st.ReverseMode = true
 	pools := st.Pools(dag.TaskID(0))
-	st.Begin(0)
-	if !st.OneToOne(0, 0, pools, MinFinish) {
-		t.Fatal("one-to-one failed")
+	if st.Try([]dag.TaskID{0}, func() bool {
+		if !st.OneToOne(0, 0, pools, MinFinish) {
+			t.Fatal("one-to-one failed")
+		}
+		if st.Sched.Replica(schedule.Ref{Task: 0, Copy: 0}) == nil {
+			t.Fatal("replica missing after placement")
+		}
+		return false
+	}) {
+		t.Fatal("Try kept a placement its place rejected")
 	}
-	if st.Sched.Replica(schedule.Ref{Task: 0, Copy: 0}) == nil {
-		t.Fatal("replica missing after placement")
-	}
-	st.Abort()
 	if st.Sched.Replica(schedule.Ref{Task: 0, Copy: 0}) != nil {
 		t.Fatal("replica survived rollback")
 	}
@@ -342,7 +357,7 @@ func TestComparators(t *testing.T) {
 func TestMaxPredStage(t *testing.T) {
 	g := chainAB()
 	st := newState(t, g, 4, 0, 100)
-	st.CommitPlace(0, 0, 0, nil)
+	commit(t, st, 0, 0, 0, nil)
 	st.MarkScheduled([]dag.TaskID{0})
 	if got := st.MaxPredStage(1); got != 1 {
 		t.Fatalf("MaxPredStage = %d", got)
@@ -474,8 +489,8 @@ func requireState(t *testing.T, st *State, want stateCopy, what string) {
 // TestTransactionMatchesDeepCopyOracle drives random single-task and window
 // transactions, nested to depth 2 as reverse-mode lookahead nests its retry
 // ladder inside a window, interleaved with OneToOne/Fallback placements.
-// After every Abort the state must equal a deep copy taken at the matching
-// Begin; after every Commit, a deep copy taken just before it.
+// After every rollback the state must equal a deep copy taken before Try;
+// after every keep, a deep copy taken as place returned.
 func TestTransactionMatchesDeepCopyOracle(t *testing.T) {
 	r := rng.New(17)
 	for trial := 0; trial < 24; trial++ {
@@ -500,34 +515,44 @@ func TestTransactionMatchesDeepCopyOracle(t *testing.T) {
 				}
 			}
 		}
-		// resolve commits or aborts the innermost transaction (abort is
-		// forced when its tasks are incomplete) and checks the oracle; it
-		// reports whether the work was kept.
-		resolve := func(begin stateCopy, complete bool, what string) bool {
-			if complete && r.Bool(0.5) {
-				pre := copyState(st)
-				st.Commit()
-				requireState(t, st, pre, what+" Commit")
-				return true
+		// try runs body inside a transaction over tasks and keeps or rolls
+		// back its work at random (a rollback is forced when body reports
+		// its tasks incomplete), then checks the oracle and the rollback
+		// count. It reports whether the work was kept.
+		try := func(tasks []dag.TaskID, body func() (complete bool), what string) bool {
+			begin := copyState(st)
+			var end stateCopy
+			var keep bool
+			var rollbacks int64
+			kept := st.Try(tasks, func() bool {
+				keep = body() && r.Bool(0.5)
+				if keep {
+					end = copyState(st)
+				}
+				rollbacks = st.Phases.Rollbacks
+				return keep
+			})
+			if kept != keep {
+				t.Fatalf("%s: Try returned %t, place %t", what, kept, keep)
 			}
-			rollbacks := st.Phases.Rollbacks
-			st.Abort()
-			requireState(t, st, begin, what+" Abort")
-			if st.Phases.Rollbacks != rollbacks+1 {
-				t.Fatalf("%s Abort counted %d rollbacks", what, st.Phases.Rollbacks-rollbacks)
+			want, wantRollbacks := begin, rollbacks+1
+			if kept {
+				want, wantRollbacks = end, rollbacks
 			}
-			return false
+			requireState(t, st, want, fmt.Sprintf("%s Try (kept %t)", what, kept))
+			if st.Phases.Rollbacks != wantRollbacks {
+				t.Fatalf("%s Try (kept %t) counted %d rollbacks", what, kept, st.Phases.Rollbacks-rollbacks)
+			}
+			return kept
 		}
 		placeTasks := func(tasks []dag.TaskID) {
 			for _, task := range tasks {
-				if r.Bool(0.5) {
-					begin := copyState(st)
-					st.Begin(task)
+				if r.Bool(0.5) && try([]dag.TaskID{task}, func() bool {
 					n := 1 + r.IntN(st.Eps+1)
 					place(task, n)
-					if resolve(begin, n == st.Eps+1, "task") {
-						continue
-					}
+					return n == st.Eps+1
+				}, "task") {
+					continue
 				}
 				place(task, st.Eps+1)
 			}
@@ -535,10 +560,10 @@ func TestTransactionMatchesDeepCopyOracle(t *testing.T) {
 		for !st.Done() {
 			window := append([]dag.TaskID(nil), st.PopChunk(1+r.IntN(4))...)
 			if r.Bool(0.5) {
-				begin := copyState(st)
-				st.Begin(window...)
-				placeTasks(window)
-				if !resolve(begin, true, "window") {
+				if !try(window, func() bool {
+					placeTasks(window)
+					return true
+				}, "window") {
 					placeTasks(window)
 				}
 			} else {
@@ -581,7 +606,7 @@ func TestDoneCounterFullyScheduled(t *testing.T) {
 	for !st.Done() {
 		chunk := st.PopChunk(1)
 		for _, task := range chunk {
-			st.CommitPlace(task, 0, 0, nil)
+			commit(t, st, task, 0, 0, nil)
 		}
 		st.MarkScheduled(chunk)
 	}

@@ -107,21 +107,21 @@ func (st *State) orderSources(sources []schedule.Ref) []schedule.Ref {
 	return st.srcBuf
 }
 
-// CommitPlace irrevocably places copy `copy` of t on u, consuming the given
-// sources: transfers are reserved on the one-port timelines, the replica is
-// registered in the schedule, and the steady-state loads and stage map are
-// updated. It returns the placed replica. Reliability bookkeeping is the
-// caller's job (commitChain/commitFallback).
-func (st *State) CommitPlace(t dag.TaskID, copy int, u platform.ProcID, sources []schedule.Ref) *schedule.Replica {
+// CommitPlace irrevocably places copy `copy` of t as the candidate
+// evalCandidate produced: on cand.Proc, consuming cand.Sources, at stage
+// cand.Stage. Transfers are reserved on the one-port timelines, the replica
+// is registered in the schedule, and the steady-state loads and stage map
+// are updated. It returns the placed replica. Reliability bookkeeping is
+// the caller's job (commitForward/commitReverse).
+func (st *State) CommitPlace(t dag.TaskID, copy int, cand Candidate) *schedule.Replica {
 	st.Phases.Placements++
-	ref := schedule.Ref{Task: t, Copy: copy}
-	txn := st.Sys.Begin()
+	u := cand.Proc
 	ready := 0.0
 	st.commBuf = st.commBuf[:0]
-	for _, src := range st.orderSources(sources) {
+	for _, src := range st.orderSources(cand.Sources) {
 		r := st.Sched.Replica(src)
 		vol := st.volume(src.Task, t)
-		cs, cf := txn.Transfer(r.Proc, u, vol, r.Finish)
+		cs, cf := st.Sys.Transfer(r.Proc, u, vol, r.Finish)
 		st.commBuf = append(st.commBuf, schedule.Comm{From: src, Volume: vol, Start: cs, Finish: cf})
 		if cf > ready {
 			ready = cf
@@ -132,13 +132,12 @@ func (st *State) CommitPlace(t dag.TaskID, copy int, u platform.ProcID, sources 
 			st.COut[r.Proc] += d
 		}
 	}
-	start, finish := txn.Compute(u, st.G.Task(t).Work, ready)
-	txn.Commit()
+	start, finish := st.Sys.Compute(u, st.G.Task(t).Work, ready)
 	st.Sigma[u] += finish - start
 	in := append([]schedule.Comm(nil), st.commBuf...)
-	rep := &schedule.Replica{Ref: ref, Proc: u, Start: start, Finish: finish, In: in}
+	rep := &schedule.Replica{Ref: schedule.Ref{Task: t, Copy: copy}, Proc: u, Start: start, Finish: finish, In: in}
 	st.Sched.AddReplica(rep)
-	st.stage[st.refIdx(t, copy)] = st.stageOf(u, sources)
+	st.stage[st.refIdx(t, copy)] = cand.Stage
 	st.copyProcs.At(int(t)).Add(int(u))
 	return rep
 }
@@ -419,7 +418,7 @@ func (st *State) OneToOne(t dag.TaskID, copy int, pools [][]schedule.Ref, better
 	if !found {
 		return false
 	}
-	st.CommitPlace(t, copy, best.Proc, best.Sources)
+	st.CommitPlace(t, copy, best)
 	if st.ReverseMode {
 		st.commitReverse(t, copy, best.Proc, st.bestSupp)
 	} else {
@@ -525,7 +524,7 @@ func (st *State) Fallback(t dag.TaskID, copy int, better Better) error {
 		return infeas.AtTask(reason, t, copy, st.Period)
 	}
 	st.Phases.Fallbacks++
-	st.CommitPlace(t, copy, best.Proc, best.Sources)
+	st.CommitPlace(t, copy, best)
 	if st.ReverseMode {
 		st.commitReverse(t, copy, best.Proc, nil)
 	} else {
@@ -534,10 +533,10 @@ func (st *State) Fallback(t dag.TaskID, copy int, better Better) error {
 	return nil
 }
 
-// txnFrame is the rollback record of one open transaction (Begin): the
+// txnFrame is the rollback record of one open transaction (Try): the
 // one-port journal mark, the load vectors, the claims span and the copyProcs
 // rows of the transaction's tasks, packed consecutively. Frames are reused
-// across transactions, so steady-state Begin/Abort cycles allocate nothing.
+// across transactions, so steady-state Try cycles allocate nothing.
 type txnFrame struct {
 	tasks            []dag.TaskID
 	mark             oneport.Mark
@@ -546,25 +545,29 @@ type txnFrame struct {
 	copyProcs        bitset.Set
 }
 
-// Begin opens a transaction covering everything the placement of the given
-// tasks' replicas mutates, so the placement can be rolled back and retried:
-// the reverse-mode retry ladder wraps one task (reverse construction must
+// Try runs place as a transaction covering everything the placement of the
+// given tasks' replicas mutates. When place reports true its placements are
+// kept; otherwise the state is rolled back to the point Try was called,
+// withdrawing every replica of the tasks placed since, and the rollback is
+// counted in Phases.Rollbacks. Try returns place's verdict, so every
+// transaction has resolved by the time Try returns.
+//
+// The reverse-mode retry ladder wraps one task (reverse construction must
 // never mix chain and fallback copies of one task: consumers that are no
 // chain's head would then receive inputs only from the fallback copies, an
 // untracked vulnerability — see the discipline note above), repair wraps
 // each replay rung, and the speculative lookahead (ltf.Options.Lookahead)
-// wraps a whole task window. The one-port side is a journal mark — Abort
-// rewinds the timelines in O(changes) — and the small per-processor load
+// wraps a whole task window. The one-port side is a journal mark, which
+// rewinds the timelines in O(changes), and the small per-processor load
 // vectors and the claims span are captured by value into a reusable frame.
 // The ready heap and precedence counters are not captured: callers pop the
-// tasks before Begin and mark them scheduled only after the transaction
-// resolves.
+// tasks before Try and mark them scheduled only after it returns.
 //
-// Transactions nest LIFO (reverse-mode lookahead runs the retry ladder
-// inside a window transaction); a nested transaction's tasks must be among
-// its parent's, so that aborting the parent also withdraws what a committed
-// child kept. Close every Begin with Commit or Abort.
-func (st *State) Begin(tasks ...dag.TaskID) {
+// Transactions nest by lexical scope (reverse-mode lookahead runs the retry
+// ladder inside a window transaction); a nested transaction's tasks must be
+// among its parent's, so that rolling back the parent also withdraws what a
+// kept child placed.
+func (st *State) Try(tasks []dag.TaskID, place func() bool) bool {
 	n := len(st.txns)
 	if n < cap(st.txns) {
 		st.txns = st.txns[:n+1]
@@ -582,16 +585,14 @@ func (st *State) Begin(tasks ...dag.TaskID) {
 	for _, t := range tasks {
 		f.copyProcs = append(f.copyProcs, st.copyProcs.At(int(t))...)
 	}
-}
-
-// Commit closes the innermost transaction, keeping every placement made
-// since its Begin.
-func (st *State) Commit() { st.popTxn() }
-
-// Abort rolls the state back to the innermost transaction's Begin point,
-// withdrawing every replica of its tasks placed since.
-func (st *State) Abort() {
-	f := st.popTxn()
+	ok := place()
+	// Nested transactions have resolved, so the frame is the innermost one
+	// again, though place may have grown (and so moved) the stack.
+	f = &st.txns[n]
+	st.txns = st.txns[:n]
+	if ok {
+		return true
+	}
 	st.Phases.Rollbacks++
 	st.Sys.Rollback(f.mark)
 	copy(st.Sigma, f.sigma)
@@ -610,18 +611,7 @@ func (st *State) Abort() {
 			st.supp[k] = nil
 		}
 	}
-}
-
-// popTxn closes the innermost transaction and returns its frame, which
-// stays valid until the next Begin.
-func (st *State) popTxn() *txnFrame {
-	n := len(st.txns)
-	if n == 0 {
-		panic("mapper: Commit or Abort without a live transaction")
-	}
-	f := &st.txns[n-1]
-	st.txns = st.txns[:n-1]
-	return f
+	return false
 }
 
 // MaxPredStage returns the largest stage number among the placed replicas of

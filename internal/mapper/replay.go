@@ -56,8 +56,8 @@ type ReplayPlacement struct {
 // processor range, the sibling-vulnerability exclusion, the chain
 // discipline, and condition (1) — and reports false without mutating
 // anything when one fails. Callers are expected to run the ε+1 copies of a
-// task inside one Begin/Abort transaction so a mid-task failure
-// unwinds the already-replayed copies through the journal.
+// task inside one Try, whose place reports false on a mid-task failure, so
+// the already-replayed copies unwind through the journal.
 func (st *State) ReplayPlace(t dag.TaskID, copy int, pl ReplayPlacement) bool {
 	u := pl.Proc
 	if int(u) < 0 || int(u) >= st.P.NumProcs() {
@@ -85,10 +85,11 @@ func (st *State) ReplayPlace(t dag.TaskID, copy int, pl ReplayPlacement) bool {
 			return false
 		}
 	}
-	if _, ok, _ := st.evalCandidate(t, u, pl.Sources, false); !ok {
+	cand, ok, _ := st.evalCandidate(t, u, pl.Sources, false)
+	if !ok {
 		return false
 	}
-	st.CommitPlace(t, copy, u, pl.Sources)
+	st.CommitPlace(t, copy, cand)
 	if pl.Chain {
 		st.commitForward(t, copy, u, pl.Sources)
 	} else {

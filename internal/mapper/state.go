@@ -60,9 +60,9 @@ type PhaseCounters struct {
 	Trials int64
 	// Placements counts replicas committed (CommitPlace).
 	Placements int64
-	// Rollbacks counts transactions unwound (Abort): retry-ladder and
-	// repair rungs abandoned with a journal rollback, and speculative
-	// lookahead windows scored and rewound.
+	// Rollbacks counts transactions unwound (a Try whose place reported
+	// false): retry-ladder and repair rungs abandoned with a journal
+	// rollback, and speculative lookahead windows scored and rewound.
 	Rollbacks int64
 	// Fallbacks counts replicas committed via full communication
 	// replication (Fallback).
@@ -149,8 +149,8 @@ type State struct {
 	chunkBuf    []dag.TaskID      // PopChunk result
 	commBuf     []schedule.Comm   // CommitPlace: staged incoming comms
 
-	// txns is the stack of open transactions (Begin), innermost last.
-	// Frames past len keep their buffers for the next Begin.
+	// txns is the stack of open transactions (Try), innermost last.
+	// Frames past len keep their buffers for the next Try.
 	txns []txnFrame
 }
 
@@ -357,14 +357,13 @@ func (st *State) volume(p, t dag.TaskID) float64 {
 // prices into the condition-(1) feasibility sums (§4.1: with the new load
 // added, T·Σ_u ≤ 1, T·C_u^I ≤ 1 and T·C_h^O ≤ 1 for every sending
 // processor h; callers handle the locking part) and the pipeline stage, and
-// — when feasible and trial is set — simulates the placement on the pooled
-// one-port transaction with the already-priced durations. The former code
-// walked the sources three times per candidate processor (a feasibility
-// test, a trial placement, and stageOf), re-pricing every communication and
-// allocating a send-load map each walk. The violated clause of condition
-// (1) comes back classified: the copy-disjointness exclusion maps to
-// ReasonNoProcessor, the compute-load clause to ReasonPeriodExceeded, and
-// the port-budget clauses to ReasonPortOverload.
+// — when feasible and trial is set — simulates the placement between a
+// one-port Mark and Rollback with the already-priced durations. One walk
+// over the sources serves the feasibility test, the stage and the trial,
+// and CommitPlace commits the candidate as evaluated. The violated clause
+// of condition (1) comes back classified: the copy-disjointness exclusion
+// maps to ReasonNoProcessor, the compute-load clause to
+// ReasonPeriodExceeded, and the port-budget clauses to ReasonPortOverload.
 //
 //streamsched:hotpath
 func (st *State) evalCandidate(t dag.TaskID, u platform.ProcID, sources []schedule.Ref, trial bool) (cand Candidate, ok bool, why infeas.Reason) {
@@ -424,16 +423,16 @@ func (st *State) evalCandidate(t dag.TaskID, u platform.ProcID, sources []schedu
 	}
 	cand = Candidate{Proc: u, Stage: stage, Sources: sources}
 	if trial {
-		txn := st.Sys.Begin()
+		m := st.Sys.Mark()
 		ready := 0.0
 		for i, src := range ordered {
 			r := st.Sched.Replica(src)
-			if _, fin := txn.TransferDur(r.Proc, u, st.durBuf[i], r.Finish); fin > ready {
+			if _, fin := st.Sys.TransferDur(r.Proc, u, st.durBuf[i], r.Finish); fin > ready {
 				ready = fin
 			}
 		}
-		_, fin := txn.Compute(u, st.G.Task(t).Work, ready)
-		txn.Abort()
+		_, fin := st.Sys.Compute(u, st.G.Task(t).Work, ready)
+		st.Sys.Rollback(m)
 		cand.Finish = fin
 	}
 	return cand, true, infeas.ReasonUnknown
@@ -443,21 +442,4 @@ func (st *State) evalCandidate(t dag.TaskID, u platform.ProcID, sources []schedu
 // formatting must stay out of the hot function (PR5 allocation budget).
 func panicUnplacedSource(src schedule.Ref) {
 	panic(fmt.Sprintf("mapper: source %v not placed", src))
-}
-
-// stageOf computes the pipeline stage a replica of t would get on u with the
-// given sources (η = 0 for co-located sources).
-func (st *State) stageOf(u platform.ProcID, sources []schedule.Ref) int {
-	stage := 1
-	for _, src := range sources {
-		r := st.Sched.Replica(src)
-		eta := 1
-		if r.Proc == u {
-			eta = 0
-		}
-		if v := st.stage[st.refIdx(src.Task, src.Copy)] + eta; v > stage {
-			stage = v
-		}
-	}
-	return stage
 }

@@ -9,18 +9,18 @@
 //
 // State is transactional rather than copy-based: the System keeps one
 // journal recording, for every reservation, the timeline it hit and the
-// index it was inserted at. A Mark captures the system at a point in time
-// as a single integer, and Rollback(mark) rewinds in O(reservations undone).
-// The Txn type wraps a mark for the schedulers' trial placements ("simulate
-// the mapping of each task in the subset on all processors", Algorithm
-// 4.1): a transaction reserves directly on the committed timelines — seeing
-// both committed state and its own reservations — and either Commits (keeps
-// them) or Aborts (pops them off the journal). Transactions and marks must
-// unwind LIFO (DESIGN.md §7, "Transactional timelines").
+// index it was inserted at. Transfer and Compute reserve directly on the
+// timelines and journal the reservation; a Mark captures the system at a
+// point in time as a single integer, and Rollback(mark) rewinds in
+// O(reservations undone). The schedulers' trial placements ("simulate the
+// mapping of each task in the subset on all processors", Algorithm 4.1)
+// bracket their reservations with Mark … Rollback: a trial sees committed
+// state and its own reservations, and leaves no trace. Marks must unwind
+// LIFO (DESIGN.md §7, "Transactional timelines").
 //
 // Because a system is single-goroutine during a construction, readers of
-// Comp/Send/Recv observe a live transaction's tentative reservations until
-// it resolves; query committed state only between transactions.
+// Comp/Send/Recv observe a trial's tentative reservations until it rolls
+// back; query committed state only between trials.
 package oneport
 
 import (
@@ -63,10 +63,6 @@ type System struct {
 	// ops is the journal: every reservation in order, so Rollback knows
 	// which timeline to undo and where.
 	ops []opRec
-	// genCtr numbers every transaction ever begun; openGen is the
-	// generation of the innermost open one (0 = none). Together they catch
-	// stale Txn copies and non-LIFO use — see Txn.checkOpen.
-	genCtr, openGen uint64
 }
 
 // NewSystem returns an empty System for the platform.
@@ -107,11 +103,12 @@ func (s *System) Horizon() float64 {
 // Rollback past it; marks must unwind LIFO.
 func (s *System) Mark() Mark { return Mark(len(s.ops)) }
 
-// Rollback undoes every reservation made since the mark — committed or not
-// — most recent first, in O(reservations undone). The reverse-mode retry
-// ladder rolls whole tasks back this way. Marks must unwind LIFO; a mark
-// past the journal (already rolled back, or used out of order) panics
-// rather than silently resurrecting undone journal entries.
+// Rollback undoes every reservation made since the mark, most recent
+// first, in O(reservations undone). Trial placements unwind this way, and
+// so do the mapper's transactions (mapper.State.Try), which roll whole
+// tasks back. Marks must unwind LIFO; a mark past the journal (already
+// rolled back, or used out of order) panics rather than silently
+// resurrecting undone journal entries.
 //
 //streamsched:hotpath
 func (s *System) Rollback(m Mark) {
@@ -140,53 +137,25 @@ func (s *System) CommonGap(from, to platform.ProcID, ready, dur float64) float64
 	return timeline.EarliestCommonGap(ready, dur, &s.tls[opSend][from], &s.tls[opRecv][to])
 }
 
-// Txn is a transaction over the system: a rollback mark plus the operations
-// performed since. Reservations land directly on the committed timelines,
-// so a transaction sees committed state and its own reservations; Commit
-// keeps them, Abort pops them off the journal in O(changes). Transactions
-// must resolve LIFO and the system is single-goroutine, so at most one
-// chain of nested transactions is live at a time — only the innermost open
-// transaction may operate or resolve. A Txn must not be copied: each use is
-// checked against the system's open-transaction generation, so a stale copy
-// (whose original already resolved) panics instead of silently rolling back
-// another transaction's work.
-type Txn struct {
-	sys      *System
-	mark     Mark
-	gen, par uint64 // this txn's generation and its parent's (0 = none)
-	done     bool
-}
-
-// Begin opens a transaction at the current journal position.
-func (s *System) Begin() Txn {
-	s.genCtr++
-	t := Txn{sys: s, mark: s.Mark(), gen: s.genCtr, par: s.openGen}
-	s.openGen = t.gen
-	return t
-}
-
 // Transfer reserves the earliest window for moving vol data units from
 // processor `from` to processor `to`, no earlier than ready. It returns the
 // window; zero-duration transfers (same processor or zero volume) return
 // (ready, ready) and reserve nothing.
-func (t *Txn) Transfer(from, to platform.ProcID, vol, ready float64) (start, finish float64) {
+func (s *System) Transfer(from, to platform.ProcID, vol, ready float64) (start, finish float64) {
 	if from == to || vol == 0 {
-		t.checkOpen()
 		return ready, ready
 	}
-	return t.TransferDur(from, to, t.sys.plat.CommTime(vol, from, to), ready)
+	return s.TransferDur(from, to, s.plat.CommTime(vol, from, to), ready)
 }
 
 // TransferDur is Transfer with the transfer duration already priced — the
 // schedulers compute each candidate's communication terms once for the
 // condition-(1) feasibility test and reuse them here instead of paying a
 // second CommTime per source. A zero dur reserves nothing.
-func (t *Txn) TransferDur(from, to platform.ProcID, dur, ready float64) (start, finish float64) {
-	t.checkOpen()
+func (s *System) TransferDur(from, to platform.ProcID, dur, ready float64) (start, finish float64) {
 	if dur == 0 {
 		return ready, ready
 	}
-	s := t.sys
 	start = s.CommonGap(from, to, ready, dur)
 	iv := timeline.Interval{Start: start, End: start + dur}
 	s.reserve(opSend, from, iv)
@@ -196,46 +165,11 @@ func (t *Txn) TransferDur(from, to platform.ProcID, dur, ready float64) (start, 
 
 // Compute reserves the earliest slot on processor u for a task of the given
 // work, no earlier than ready, and returns the slot.
-func (t *Txn) Compute(u platform.ProcID, work, ready float64) (start, finish float64) {
-	t.checkOpen()
-	s := t.sys
+func (s *System) Compute(u platform.ProcID, work, ready float64) (start, finish float64) {
 	dur := s.plat.ExecTime(work, u)
 	start = s.tls[opComp][u].EarliestGap(ready, dur)
 	s.reserve(opComp, u, timeline.Interval{Start: start, End: start + dur})
 	return start, start + dur
-}
-
-// Commit keeps the transaction's reservations. The transaction cannot be
-// used afterwards.
-func (t *Txn) Commit() {
-	t.checkOpen()
-	t.done = true
-	t.sys.openGen = t.par
-}
-
-// Abort rolls the transaction's reservations back off the journal. Safe to
-// call on a committed transaction (no-op) so callers can defer it.
-func (t *Txn) Abort() {
-	if t.done {
-		return
-	}
-	t.checkOpen()
-	t.sys.Rollback(t.mark)
-	t.done = true
-	t.sys.openGen = t.par
-}
-
-// checkOpen panics unless t is the innermost open transaction: finished
-// transactions, stale copies of resolved ones, and out-of-LIFO use (an
-// outer transaction operating while an inner one is live) are all bugs
-// that would otherwise corrupt the shared journal silently.
-func (t *Txn) checkOpen() {
-	if t.done {
-		panic("oneport: use of finished transaction")
-	}
-	if t.sys.openGen != t.gen {
-		panic("oneport: transaction is not the innermost open one (stale copy or non-LIFO use)")
-	}
 }
 
 // Validate re-checks every timeline invariant; tests call it after schedule

@@ -11,16 +11,12 @@ import (
 
 func TestMarkRollback(t *testing.T) {
 	s := NewSystem(platform.Homogeneous(3, 1, 1))
-	txn := s.Begin()
-	txn.Compute(0, 5, 0)
-	txn.Transfer(0, 1, 3, 5)
-	txn.Commit()
+	s.Compute(0, 5, 0)
+	s.Transfer(0, 1, 3, 5)
 	mark := s.Mark()
 
-	txn2 := s.Begin()
-	txn2.Compute(0, 5, 0)
-	txn2.Transfer(1, 2, 4, 0)
-	txn2.Commit()
+	s.Compute(0, 5, 0)
+	s.Transfer(1, 2, 4, 0)
 	if s.Comp(0).Len() != 2 || s.Send(1).Len() != 1 {
 		t.Fatal("post-mark work missing")
 	}
@@ -44,18 +40,14 @@ func TestMarkReusableAcrossRollbacks(t *testing.T) {
 	s := NewSystem(platform.Homogeneous(2, 1, 1))
 	mark := s.Mark()
 	for i := 0; i < 3; i++ {
-		txn := s.Begin()
-		txn.Compute(0, 5, 0)
-		txn.Commit()
+		s.Compute(0, 5, 0)
 		s.Rollback(mark)
 		if s.Comp(0).Len() != 0 {
 			t.Fatal("rollback left residue")
 		}
 	}
 	// Work again after the rollbacks.
-	txn := s.Begin()
-	st, fin := txn.Compute(0, 5, 0)
-	txn.Commit()
+	st, fin := s.Compute(0, 5, 0)
 	if st != 0 || fin != 5 {
 		t.Fatalf("post-rollback placement [%v,%v)", st, fin)
 	}
@@ -66,9 +58,7 @@ func TestMarkReusableAcrossRollbacks(t *testing.T) {
 // silently resurrecting undone journal entries.
 func TestRollbackPastJournalPanics(t *testing.T) {
 	s := NewSystem(platform.Homogeneous(2, 1, 1))
-	txn := s.Begin()
-	txn.Compute(0, 5, 0)
-	txn.Commit()
+	s.Compute(0, 5, 0)
 	stale := s.Mark() // position 1
 	s.Rollback(0)
 	defer func() {
@@ -77,47 +67,6 @@ func TestRollbackPastJournalPanics(t *testing.T) {
 		}
 	}()
 	s.Rollback(stale)
-}
-
-// TestStaleTxnCopyPanics pins the copy guard: a Txn copy whose original
-// already resolved must panic instead of silently rolling back work that
-// later transactions committed.
-func TestStaleTxnCopyPanics(t *testing.T) {
-	s := NewSystem(platform.Homogeneous(2, 1, 1))
-	txn := s.Begin()
-	stale := txn
-	txn.Abort()
-
-	later := s.Begin()
-	later.Compute(0, 5, 0)
-	later.Commit()
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("stale Txn copy resolved without panicking")
-		}
-		if s.Comp(0).Len() != 1 {
-			t.Fatal("stale copy rolled back committed work")
-		}
-	}()
-	stale.Abort()
-}
-
-// TestNonLIFOTxnUsePanics pins the nesting guard: an outer transaction
-// operating while an inner one is live would interleave its reservations
-// into the inner transaction's journal range.
-func TestNonLIFOTxnUsePanics(t *testing.T) {
-	s := NewSystem(platform.Homogeneous(2, 1, 1))
-	outer := s.Begin()
-	inner := s.Begin()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("outer Txn operated while inner was live without panicking")
-		}
-		inner.Abort()
-		outer.Abort()
-	}()
-	outer.Compute(0, 5, 0)
 }
 
 // oracleSnap is the old deep-copy snapshot semantics, kept as the test
@@ -169,22 +118,23 @@ func requireEqualOracle(t *testing.T, s *System, o *oracleSnap, what string) {
 	}
 }
 
-// randomOp performs one random reservation through txn.
-func randomOp(r *rng.Source, txn *Txn, m int) {
+// randomOp performs one random reservation on s.
+func randomOp(r *rng.Source, s *System, m int) {
 	u := platform.ProcID(r.IntN(m))
 	v := platform.ProcID(r.IntN(m))
 	ready := r.Uniform(0, 40)
 	if r.Bool(0.5) {
-		txn.Compute(u, r.Uniform(0.1, 4), ready)
+		s.Compute(u, r.Uniform(0.1, 4), ready)
 	} else {
-		txn.Transfer(u, v, r.Uniform(0, 60), ready)
+		s.Transfer(u, v, r.Uniform(0, 60), ready)
 	}
 }
 
-// TestJournalMatchesDeepCopyOracle interleaves Reserve/Begin/Abort/Commit
-// and system-level Mark/Rollback randomly and checks after every unwind
-// that the journaled timelines are byte-identical to the deep-copy snapshot
-// the old implementation would have restored.
+// TestJournalMatchesDeepCopyOracle interleaves reservations, trials
+// (Mark … reservations … Rollback) and nested Mark/Rollback scopes randomly
+// and checks after every unwind that the journaled timelines are
+// byte-identical to the deep-copy snapshot the old implementation would
+// have restored.
 func TestJournalMatchesDeepCopyOracle(t *testing.T) {
 	const m = 5
 	r := rng.New(5)
@@ -212,17 +162,15 @@ func TestJournalMatchesDeepCopyOracle(t *testing.T) {
 			if n := len(stack); n > 0 {
 				stack = stack[:n-1]
 			}
-		default: // a trial or commit transaction with a few reservations
+		default: // a few reservations, rolled back (a trial) or kept
 			oracle := snapOracle(s)
-			txn := s.Begin()
+			mark := s.Mark()
 			for k := r.IntN(3); k >= 0; k-- {
-				randomOp(r, &txn, m)
+				randomOp(r, s, m)
 			}
 			if r.Bool(0.4) {
-				txn.Abort()
-				requireEqualOracle(t, s, oracle, "Abort")
-			} else {
-				txn.Commit()
+				s.Rollback(mark)
+				requireEqualOracle(t, s, oracle, "trial Rollback")
 			}
 		}
 	}

@@ -118,6 +118,33 @@ func (p *Platform) Bandwidth(k, h ProcID) float64 {
 	return p.bw[k][h]
 }
 
+// Transpose returns the platform with every link reversed: the same
+// speeds, and d_hk as the bandwidth of l_kh. A construction that runs in
+// reverse time (R-LTF) prices its transfers on it, so that each mirrored
+// transfer costs what its forward direction costs. A symmetric platform
+// is its own transpose and comes back as is, without a copy.
+func (p *Platform) Transpose() *Platform {
+	symmetric := true
+	for k := range p.bw {
+		for h := range k {
+			if p.bw[k][h] != p.bw[h][k] {
+				symmetric = false
+			}
+		}
+	}
+	if symmetric {
+		return p
+	}
+	bw := make([][]float64, len(p.bw))
+	for k := range bw {
+		bw[k] = make([]float64, len(p.bw))
+		for h := range bw[k] {
+			bw[k][h] = p.bw[h][k]
+		}
+	}
+	return &Platform{speeds: p.speeds, bw: bw}
+}
+
 // ExecTime returns the running time of a work-w task on processor u.
 func (p *Platform) ExecTime(w float64, u ProcID) float64 { return w / p.speeds[u] }
 

@@ -36,6 +36,20 @@ func TestExecAndCommTime(t *testing.T) {
 	}
 }
 
+func TestTranspose(t *testing.T) {
+	p := New([]float64{1, 2}, [][]float64{{0, 4}, {8, 0}})
+	pt := p.Transpose()
+	if pt.Bandwidth(0, 1) != 8 || pt.Bandwidth(1, 0) != 4 {
+		t.Fatalf("transposed links: 0→1 %v, 1→0 %v", pt.Bandwidth(0, 1), pt.Bandwidth(1, 0))
+	}
+	if pt.Speed(1) != 2 || p.Bandwidth(0, 1) != 4 {
+		t.Fatal("Transpose changed a speed or the original platform")
+	}
+	if sym := Homogeneous(3, 1, 2); sym.Transpose() != sym {
+		t.Fatal("a symmetric platform was copied")
+	}
+}
+
 func TestBandwidthDiagonalPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

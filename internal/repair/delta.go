@@ -3,10 +3,10 @@
 // bandwidths changed), it rebuilds the mapper state over the post-delta
 // platform by replaying the surviving placements verbatim and re-placing
 // only the evicted tasks through the normal search machinery. The journaled
-// transactions of internal/mapper (Begin / Abort over the one-port op
-// journal) unwind a task whose prescription no longer fits in
-// O(changes), which is what makes repair cheaper than a cold re-solve for
-// small deltas — the ROADMAP's "platform as live, not static" item.
+// transactions of internal/mapper (State.Try over the one-port op journal)
+// unwind a task whose prescription no longer fits in O(changes), which is
+// what makes repair cheaper than a cold re-solve for small deltas — the
+// ROADMAP's "platform as live, not static" item.
 package repair
 
 import (

@@ -130,16 +130,15 @@ func Repair(ctx context.Context, old *schedule.Schedule, newP *platform.Platform
 // replayTask recommits every replica of t at its prescribed placement
 // inside one transaction; any failure rolls the whole task back.
 func replayTask(st *mapper.State, old *schedule.Schedule, remap []platform.ProcID, t dag.TaskID) bool {
-	st.Begin(t)
-	for c := 0; c <= st.Eps; c++ {
-		pl, ok := prescribed(st, old, remap, t, c)
-		if !ok || !st.ReplayPlace(t, c, pl) {
-			st.Abort()
-			return false
+	return st.Try([]dag.TaskID{t}, func() bool {
+		for c := 0; c <= st.Eps; c++ {
+			pl, ok := prescribed(st, old, remap, t, c)
+			if !ok || !st.ReplayPlace(t, c, pl) {
+				return false
+			}
 		}
-	}
-	st.Commit()
-	return true
+		return true
+	})
 }
 
 // preserveTask recommits every replica of t on its prescribed processor but
@@ -150,22 +149,19 @@ func replayTask(st *mapper.State, old *schedule.Schedule, remap []platform.ProcI
 // chains in particular — at the price of wider transfers, which the
 // condition-(1) port budgets re-admit or reject per copy.
 func preserveTask(st *mapper.State, old *schedule.Schedule, remap []platform.ProcID, t dag.TaskID) bool {
-	st.Begin(t)
-	for c := 0; c <= st.Eps; c++ {
-		r := old.Replica(schedule.Ref{Task: t, Copy: c})
-		u := remap[r.Proc]
-		if u < 0 {
-			st.Abort()
-			return false
+	return st.Try([]dag.TaskID{t}, func() bool {
+		for c := 0; c <= st.Eps; c++ {
+			r := old.Replica(schedule.Ref{Task: t, Copy: c})
+			u := remap[r.Proc]
+			if u < 0 {
+				return false
+			}
+			if !st.ReplayPlace(t, c, mapper.ReplayPlacement{Proc: u, Sources: st.AllSources(t)}) {
+				return false
+			}
 		}
-		pl := mapper.ReplayPlacement{Proc: u, Sources: st.AllSources(t)}
-		if !st.ReplayPlace(t, c, pl) {
-			st.Abort()
-			return false
-		}
-	}
-	st.Commit()
-	return true
+		return true
+	})
 }
 
 // prescribed extracts the replay placement of copy c of t from the old

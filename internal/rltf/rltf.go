@@ -16,10 +16,12 @@
 // stage-preserving candidate comparator, then mirrors the resulting
 // schedule in time: a replica scheduled at [σ, φ) in reverse virtual time
 // runs at [H−φ, H−σ) forward, and a reverse communication s→t becomes the
-// forward communication t→s over the mirrored window. Mirroring preserves
-// durations, one-port disjointness (send and receive ports swap roles) and
-// the throughput loads (C^I and C^O swap), so the forward schedule is valid
-// whenever the reverse one is.
+// forward communication t→s over the mirrored window. The reverse
+// construction prices its transfers on the transposed platform (link l_st
+// at the bandwidth of l_ts), so mirroring preserves durations even when
+// the two directions of a link differ, as well as one-port disjointness
+// (send and receive ports swap roles) and the throughput loads (C^I and
+// C^O swap): the forward schedule is valid whenever the reverse one is.
 package rltf
 
 import (
@@ -42,7 +44,7 @@ type Options = ltf.Options
 // aborts the placement loop with ctx.Err().
 func Schedule(ctx context.Context, g *dag.Graph, p *platform.Platform, eps int, period float64, opts Options) (*schedule.Schedule, error) {
 	gr := g.Reverse()
-	st, err := mapper.New(gr, p, eps, period, "R-LTF")
+	st, err := mapper.New(gr, p.Transpose(), eps, period, "R-LTF")
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +58,7 @@ func Schedule(ctx context.Context, g *dag.Graph, p *platform.Platform, eps int, 
 	if err := ltf.Construct(ctx, st, "rltf", opts, betterFor); err != nil {
 		return nil, err
 	}
-	return mirror(g, st), nil
+	return mirror(g, p, st), nil
 }
 
 // FaultFree returns the paper's reference schedule: R-LTF without
@@ -70,11 +72,12 @@ func FaultFree(ctx context.Context, g *dag.Graph, p *platform.Platform, period f
 	return s, nil
 }
 
-// mirror converts the reverse-graph schedule into a forward schedule on g.
-func mirror(g *dag.Graph, st *mapper.State) *schedule.Schedule {
+// mirror converts the reverse-graph schedule into a forward schedule of g
+// on p.
+func mirror(g *dag.Graph, p *platform.Platform, st *mapper.State) *schedule.Schedule {
 	rev := st.Sched
 	h := rev.Makespan()
-	fwd := schedule.New(g, st.P, st.Eps, st.Period, "R-LTF")
+	fwd := schedule.New(g, p, st.Eps, st.Period, "R-LTF")
 	// A reverse comm into ref becomes a forward comm out of its source, so
 	// each forward replica receives exactly as many comms as its reverse
 	// counterpart sends; count them first and size the In lists exactly.

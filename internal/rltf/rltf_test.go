@@ -92,18 +92,36 @@ func TestChainTightPeriodSplitsStages(t *testing.T) {
 	}
 }
 
+// TestMirrorProducesValidForwardSchedule mirrors R-LTF schedules built on
+// symmetric platforms and on platforms whose two link directions differ,
+// where each mirrored transfer must still cost what its forward direction
+// costs.
 func TestMirrorProducesValidForwardSchedule(t *testing.T) {
 	r := rng.New(21)
 	for trial := 0; trial < 15; trial++ {
 		g := randomDAG(r, 10+r.IntN(25))
-		p := platform.RandomHeterogeneous(r, 10, 0.5, 1, 0.5, 1, 10)
-		eps := r.IntN(3)
-		s, err := Schedule(context.Background(), g, p, eps, 100, Options{})
-		if err != nil {
-			continue
+		sym := platform.RandomHeterogeneous(r, 10, 0.5, 1, 0.5, 1, 10)
+		speeds := make([]float64, 10)
+		bw := make([][]float64, 10)
+		for u := range bw {
+			speeds[u] = r.Uniform(0.5, 1)
+			bw[u] = make([]float64, 10)
+			for h := range bw[u] {
+				if h != u {
+					bw[u][h] = r.Uniform(1, 20)
+				}
+			}
 		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("trial %d (eps=%d): %v", trial, eps, err)
+		asym := platform.New(speeds, bw)
+		eps := r.IntN(3)
+		for _, p := range []*platform.Platform{sym, asym} {
+			s, err := Schedule(context.Background(), g, p, eps, 100, Options{})
+			if err != nil {
+				continue
+			}
+			if err := s.Validate(); err != nil {
+				t.Fatalf("trial %d (eps=%d, %v): %v", trial, eps, p, err)
+			}
 		}
 	}
 }

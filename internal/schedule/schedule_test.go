@@ -414,6 +414,28 @@ func TestValidateOnePortOverlap(t *testing.T) {
 	}
 }
 
+// An empty window (a zero-volume transfer) occupies no port, so it may sit
+// inside another transfer's window, as the one-port layer and the
+// simulator treat it.
+func TestValidateEmptyWindowOccupiesNoPort(t *testing.T) {
+	g := dag.New("fan")
+	a := g.AddTask("a", 1)
+	b := g.AddTask("b", 1)
+	c := g.AddTask("c", 1)
+	g.MustAddEdge(a, b, 2)
+	g.MustAddEdge(a, c, 0)
+	p := platform.Homogeneous(3, 1, 1)
+	s := New(g, p, 0, 10, "t")
+	s.AddReplica(&Replica{Ref: Ref{0, 0}, Proc: 0, Start: 0, Finish: 1})
+	s.AddReplica(&Replica{Ref: Ref{1, 0}, Proc: 1, Start: 3, Finish: 4,
+		In: []Comm{{From: Ref{0, 0}, Volume: 2, Start: 1, Finish: 3}}})
+	s.AddReplica(&Replica{Ref: Ref{2, 0}, Proc: 2, Start: 2, Finish: 3,
+		In: []Comm{{From: Ref{0, 0}, Volume: 0, Start: 2, Finish: 2}}}) // inside send [1,3)
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestValidateCommFromNonPredecessor(t *testing.T) {
 	g := dag.New("three")
 	a := g.AddTask("a", 1)

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"streamsched/internal/dag"
@@ -25,11 +26,8 @@ const tol = 1e-6
 //  7. one-port — per processor, compute intervals are disjoint, send
 //     windows are disjoint, and receive windows are disjoint;
 //  8. reliability — every failure scenario of size ≤ ε still yields a
-//     valid result (exhaustive; callers with large m can skip via opts).
+//     valid result (exhaustive).
 type ValidateOptions struct {
-	// SkipFaultTolerance disables the exhaustive failure enumeration
-	// (used in benchmarks where it dominates runtime).
-	SkipFaultTolerance bool
 	// SkipThroughput disables the load-vs-period check, for schedules
 	// produced by unconstrained baselines.
 	SkipThroughput bool
@@ -134,10 +132,8 @@ func (s *Schedule) ValidateOpts(opts ValidateOptions) error {
 		return err
 	}
 	// 8. reliability
-	if !opts.SkipFaultTolerance {
-		if !s.ToleratesAllFailures() {
-			return fmt.Errorf("schedule: not %d-fault tolerant", s.Eps)
-		}
+	if !s.ToleratesAllFailures() {
+		return fmt.Errorf("schedule: not %d-fault tolerant", s.Eps)
 	}
 	return nil
 }
@@ -147,7 +143,12 @@ type window struct {
 	what       string
 }
 
+// checkDisjoint reports the first overlap among one resource's windows.
+// An empty window, such as a zero-volume transfer's, occupies nothing: the
+// one-port layer reserves no empty interval, and the simulator delivers a
+// zero-volume transfer at once.
 func checkDisjoint(kind string, u int, ws []window) error {
+	ws = slices.DeleteFunc(ws, func(w window) bool { return w.end <= w.start })
 	sort.SliceStable(ws, func(i, j int) bool { return ws[i].start < ws[j].start })
 	for i := 1; i < len(ws); i++ {
 		if ws[i].start < ws[i-1].end-tol {
