@@ -69,13 +69,14 @@ bench-record:
 
 # bench-compare is exactly the CI bench gate: red on >25% ns/op, >10%
 # allocs/op, >10% wakes/op or any change (a rise or a fall) in events/op or
-# in the solver's trials/op, placements/op, rollbacks/op and fallbacks/op
-# vs the committed baseline.
+# in the solver's trials/op, pruned/op, placements/op, rollbacks/op and
+# fallbacks/op vs the committed baseline.
 bench-compare:
 	$(GO) run ./cmd/bench -bench '$(BENCH_RE)' -benchtime $(BENCHTIME) -count $(COUNT) \
 		-baseline BENCH_baseline.json -alloc-tolerance 0.10 \
 		-metric-tolerance wakes/op=0.10 -metric-tolerance events/op=0 \
-		-metric-tolerance trials/op=0 -metric-tolerance placements/op=0 \
+		-metric-tolerance trials/op=0 -metric-tolerance pruned/op=0 \
+		-metric-tolerance placements/op=0 \
 		-metric-tolerance rollbacks/op=0 -metric-tolerance fallbacks/op=0 -out BENCH_ci.json
 
 # bench-trend prints the per-benchmark ns/op and allocs/op trajectory over

@@ -152,6 +152,7 @@ func BenchmarkAblationChunk(b *testing.B) {
 // unit the bench gate pins exactly.
 var workUnits = [...]struct{ arg, unit string }{
 	{"trials", "trials/op"},
+	{"pruned", "pruned/op"},
 	{"placements", "placements/op"},
 	{"rollbacks", "rollbacks/op"},
 	{"fallbacks", "fallbacks/op"},

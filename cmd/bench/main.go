@@ -9,6 +9,7 @@
 //	go run ./cmd/bench -baseline BENCH_baseline.json    # run and gate: exit 1 on regression
 //	go run ./cmd/bench -baseline BENCH_baseline.json -input results.txt
 //	go run ./cmd/bench trend -dir artifacts             # ns/op & allocs/op history
+//	go run ./cmd/bench ab -base HEAD~1 -pairs 10        # alternating pairs vs a base revision
 //
 // The gate fails when any baseline benchmark regresses by more than
 // -ns-tolerance in ns/op (default 25%), disappears from the current run, or
@@ -40,6 +41,13 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "trend" {
 		if err := trendMain(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "bench trend:", err)
+			os.Exit(1)
+		}
+		return
+	}
+	if len(os.Args) > 1 && os.Args[1] == "ab" {
+		if err := abMain(os.Args[2:]); err != nil {
+			fmt.Fprintln(os.Stderr, "bench ab:", err)
 			os.Exit(1)
 		}
 		return

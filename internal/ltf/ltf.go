@@ -92,6 +92,7 @@ func Construct(ctx context.Context, st *mapper.State, span string, opts Options,
 	})
 	if sp.Active() {
 		sp.SetArg("trials", st.Phases.Trials)
+		sp.SetArg("pruned", st.Phases.Pruned)
 		sp.SetArg("placements", st.Phases.Placements)
 		sp.SetArg("rollbacks", st.Phases.Rollbacks)
 		sp.SetArg("fallbacks", st.Phases.Fallbacks)

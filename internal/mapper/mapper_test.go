@@ -35,7 +35,7 @@ func newState(t *testing.T, g *dag.Graph, m, eps int, period float64) *State {
 // placement procedures do: it evaluates the candidate and commits it.
 func commit(t *testing.T, st *State, task dag.TaskID, c int, u platform.ProcID, sources []schedule.Ref) *schedule.Replica {
 	t.Helper()
-	cand, ok, why := st.evalCandidate(task, u, sources, false)
+	cand, ok, why := st.evalCandidate(task, u, sources, 0, nil)
 	if !ok {
 		t.Fatalf("placing copy %d of task %d on %d: infeasible (%v)", c, task, u, why)
 	}
@@ -104,8 +104,8 @@ func TestMarkScheduledTwicePanics(t *testing.T) {
 // evaluations agree.
 func feasible(t *testing.T, st *State, task dag.TaskID, u platform.ProcID, sources []schedule.Ref) bool {
 	t.Helper()
-	_, ok, _ := st.evalCandidate(task, u, sources, false)
-	if _, okTrial, _ := st.evalCandidate(task, u, sources, true); okTrial != ok {
+	_, ok, _ := st.evalCandidate(task, u, sources, 0, nil)
+	if _, okTrial, _ := st.evalCandidate(task, u, sources, 0, &incumbent{better: MinFinish}); okTrial != ok {
 		t.Fatalf("evalCandidate(%d on %d): feasible %t without trial, %t with", task, u, ok, okTrial)
 	}
 	return ok
@@ -189,7 +189,7 @@ func TestTrialFinishMatchesCommit(t *testing.T) {
 	st := newState(t, g, 2, 0, 100)
 	commit(t, st, 0, 0, 0, nil)
 	st.MarkScheduled([]dag.TaskID{0})
-	cand, ok, _ := st.evalCandidate(1, 1, []schedule.Ref{{Task: 0, Copy: 0}}, true)
+	cand, ok, _ := st.evalCandidate(1, 1, []schedule.Ref{{Task: 0, Copy: 0}}, 0, &incumbent{better: MinFinish})
 	if !ok {
 		t.Fatal("feasible candidate rejected")
 	}
@@ -207,7 +207,7 @@ func TestTrialFinishDoesNotMutate(t *testing.T) {
 	st := newState(t, g, 2, 0, 100)
 	commit(t, st, 0, 0, 0, nil)
 	before, mark := st.Sys.Comp(1).Len(), st.Sys.Mark()
-	if _, ok, _ := st.evalCandidate(1, 1, []schedule.Ref{{Task: 0, Copy: 0}}, true); !ok {
+	if _, ok, _ := st.evalCandidate(1, 1, []schedule.Ref{{Task: 0, Copy: 0}}, 0, &incumbent{better: MinFinish}); !ok {
 		t.Fatal("feasible candidate rejected")
 	}
 	if st.Sys.Comp(1).Len() != before || st.Sys.Mark() != mark {
@@ -384,6 +384,12 @@ func TestVulnCapDefault(t *testing.T) {
 
 // randomGraph builds an n-task DAG with forward edges drawn at density 0.15.
 func randomGraph(r *rng.Source, n int) *dag.Graph {
+	return randomGraphWithPrecedence(r, n, 0)
+}
+
+// randomGraphWithPrecedence is randomGraph with about a zeroShare of its
+// edges carrying no data (pure precedence).
+func randomGraphWithPrecedence(r *rng.Source, n int, zeroShare float64) *dag.Graph {
 	g := dag.New("rand")
 	for i := 0; i < n; i++ {
 		g.AddTask("t", r.Uniform(0.5, 1.5))
@@ -391,7 +397,11 @@ func randomGraph(r *rng.Source, n int) *dag.Graph {
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if r.Bool(0.15) {
-				g.MustAddEdge(dag.TaskID(i), dag.TaskID(j), r.Uniform(0.1, 1))
+				vol := r.Uniform(0.1, 1)
+				if zeroShare > 0 && r.Bool(zeroShare) {
+					vol = 0
+				}
+				g.MustAddEdge(dag.TaskID(i), dag.TaskID(j), vol)
 			}
 		}
 	}

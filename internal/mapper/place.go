@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"math"
 	"slices"
 
 	"streamsched/internal/bitset"
@@ -49,7 +50,39 @@ type Candidate struct {
 // Better compares two candidates and reports whether a is preferable to b.
 // It parameterizes the difference between LTF ("minimum finish time F") and
 // R-LTF (Rule 1: do not increase the stage number).
+//
+// The contract: a comparator never prefers a candidate more after its Stage
+// or Finish grows. If a' is a with a Stage and a Finish no larger, then
+// better(a, b) implies better(a', b). The candidate searches rely on it to
+// skip, by a lower bound on Stage and Finish, every processor whose
+// candidate cannot beat the incumbent (DESIGN.md §7, "Candidate bounds").
+// A comparator must also be a strict total order on candidates of distinct
+// processors, so the search keeps the same minimum whatever it skips.
+// MinFinish and StagePreserving compare keys that only grow with Stage and
+// Finish, lexicographically, and break every tie by Proc.
 type Better func(a, b Candidate) bool
+
+// incumbent is the best candidate a search has evaluated so far, ranked by
+// the search's comparator.
+type incumbent struct {
+	better Better
+	best   Candidate
+	found  bool
+}
+
+// admits reports whether c could displace the incumbent: there is none yet,
+// or better prefers c. By the Better contract, a lower bound the incumbent
+// does not admit rules out every candidate it bounds.
+func (in *incumbent) admits(c Candidate) bool { return !in.found || in.better(c, in.best) }
+
+// offer makes c the incumbent if admits(c), and reports whether it did.
+func (in *incumbent) offer(c Candidate) bool {
+	if !in.admits(c) {
+		return false
+	}
+	in.best, in.found = c, true
+	return true
+}
 
 // MinFinish is LTF's candidate comparator.
 func MinFinish(a, b Candidate) bool {
@@ -187,16 +220,23 @@ func (st *State) Theta(pools [][]schedule.Ref) int {
 }
 
 // singleCommFinish returns the earliest finish of a single transfer from
-// src's processor to u, against the committed port state (read-only). Head
-// selection re-derives this quantity for every (pool candidate × processor)
-// across copies and retry rungs.
-func (st *State) singleCommFinish(src schedule.Ref, t dag.TaskID, u platform.ProcID) float64 {
+// src's processor to u, against the committed port state (read-only), which
+// head selection ranks by, and bound, the earliest a trial's transfer from
+// src can finish. Head selection re-derives these for every (pool
+// candidate × processor) across copies and retry rungs. The two differ for
+// a zero-volume transfer between processors: fin waits for a common gap of
+// the two ports, but the transfer reserves nothing and completes at once.
+func (st *State) singleCommFinish(src schedule.Ref, t dag.TaskID, u platform.ProcID) (fin, bound float64) {
 	r := st.Sched.Replica(src)
 	if r.Proc == u {
-		return r.Finish
+		return r.Finish, r.Finish
 	}
 	dur := st.P.CommTime(st.volume(src.Task, t), r.Proc, u)
-	return st.Sys.CommonGap(r.Proc, u, r.Finish, dur) + dur
+	fin = st.Sys.CommonGap(r.Proc, u, r.Finish, dur) + dur
+	if dur == 0 {
+		return fin, r.Finish
+	}
+	return fin, fin
 }
 
 // siblingVuln returns the union of the vulnerability sets of the other
@@ -216,29 +256,62 @@ func (st *State) siblingVuln(t dag.TaskID, copy int) bitset.Set {
 // headsForward selects, for each pool, the admissible head with the earliest
 // single-communication finish onto u. A head is admissible when its (frozen)
 // vulnerability set avoids the sibling vulnerabilities. The chosen heads
-// land in the candHeads scratch (promote with swapCandHeads); it reports
-// false if some pool has no admissible head.
-func (st *State) headsForward(t dag.TaskID, u platform.ProcID, pools [][]schedule.Ref, sibV bitset.Set) bool {
+// land in the candHeads scratch (promote with swapCandHeads), and lb is the
+// latest of their singleCommFinish bounds; it reports false if some pool
+// has no admissible head.
+func (st *State) headsForward(t dag.TaskID, u platform.ProcID, pools [][]schedule.Ref, sibV bitset.Set) (lb float64, ok bool) {
 	heads := st.headsScratch(len(pools))
 	for i, pool := range pools {
 		found := false
-		bestFin := 0.0
+		bestFin, bestBound := 0.0, 0.0
 		for _, ref := range pool {
 			if st.claim(ref.Task, ref.Copy).Intersects(sibV) {
 				continue
 			}
-			fin := st.singleCommFinish(ref, t, u)
+			fin, bound := st.singleCommFinish(ref, t, u)
 			if !found || fin < bestFin {
-				bestFin = fin
+				bestFin, bestBound = fin, bound
 				heads[i] = ref
 				found = true
 			}
 		}
 		if !found {
-			return false
+			return 0, false
+		}
+		if bestBound > lb {
+			lb = bestBound
 		}
 	}
-	return true
+	return lb, true
+}
+
+// headBound is a lower bound on every candidate OneToOne can evaluate on u,
+// read from the pools without a timeline query. Each pool's head is one of
+// its replicas, and a transfer cannot start before its source finishes, so
+// the candidate's stage is at least max(1, max over pools of the least
+// stage+η of a replica, η being 0 on u and 1 elsewhere) and its finish at
+// least the latest over pools of the earliest replica finish plus transfer
+// time onto u, plus t's execution time on u. Every replica of a pool is a
+// copy of one predecessor task, so the pool's volume is one lookup.
+//
+//streamsched:hotpath
+func (st *State) headBound(t dag.TaskID, u platform.ProcID, pools [][]schedule.Ref) Candidate {
+	stage, ready := 1, 0.0
+	for _, pool := range pools {
+		vol := st.volume(pool[0].Task, t)
+		poolStage, poolFin := math.MaxInt, math.Inf(1)
+		for _, ref := range pool {
+			r := st.Sched.Replica(ref)
+			s, fin := st.stage[st.refIdx(ref.Task, ref.Copy)], r.Finish
+			if r.Proc != u {
+				s++
+				fin += st.P.CommTime(vol, r.Proc, u)
+			}
+			poolStage, poolFin = min(poolStage, s), min(poolFin, fin)
+		}
+		stage, ready = max(stage, poolStage), max(ready, poolFin)
+	}
+	return Candidate{Proc: u, Stage: stage, Finish: ready + st.execTime(t, u)}
 }
 
 // headsScratch sizes the candidate-heads scratch for n pools. The scratch is
@@ -285,8 +358,9 @@ func (st *State) mergedSet(t dag.TaskID, cp int16) {
 // replicas whose support lists merge without assigning two different copies
 // of any task, and whose merged claims admit u. The chosen heads land in the
 // candHeads scratch and the merged support in the mergedCopy/mergedTouch
-// scratch; it reports false if no consistent choice exists.
-func (st *State) headsReverse(t dag.TaskID, copy int, u platform.ProcID, pools [][]schedule.Ref) bool {
+// scratch, and lb is the latest of the heads' singleCommFinish bounds; it
+// reports false if no consistent choice exists.
+func (st *State) headsReverse(t dag.TaskID, copy int, u platform.ProcID, pools [][]schedule.Ref) (lb float64, ok bool) {
 	st.mergedReset()
 	st.mergedSet(t, int16(copy))
 	heads := st.headsScratch(len(pools))
@@ -295,7 +369,8 @@ func (st *State) headsReverse(t dag.TaskID, copy int, u platform.ProcID, pools [
 		// consistent one.
 		cands := st.revCands[:0]
 		for _, ref := range pool {
-			cands = append(cands, revCand{ref, st.singleCommFinish(ref, t, u)})
+			fin, bound := st.singleCommFinish(ref, t, u)
+			cands = append(cands, revCand{ref, fin, bound})
 		}
 		st.revCands = cands
 		//nolint:determcheck // total comparator (fin, Task, Copy), hot path
@@ -318,12 +393,15 @@ func (st *State) headsReverse(t dag.TaskID, copy int, u platform.ProcID, pools [
 					st.mergedSet(pr.Task, pr.Copy)
 				}
 				heads[i] = c.ref
+				if c.bound > lb {
+					lb = c.bound
+				}
 				chosen = true
 				break
 			}
 		}
 		if !chosen {
-			return false
+			return 0, false
 		}
 	}
 	// Final claim check for u over the merged support.
@@ -331,11 +409,11 @@ func (st *State) headsReverse(t dag.TaskID, copy int, u platform.ProcID, pools [
 		cp := int(st.mergedCopy[task])
 		for m := 0; m <= st.Eps; m++ {
 			if m != cp && st.claim(task, m).Contains(int(u)) {
-				return false
+				return 0, false
 			}
 		}
 	}
-	return true
+	return lb, true
 }
 
 // consistentSupport reports whether head's support list can merge into the
@@ -353,8 +431,10 @@ func (st *State) consistentSupport(head schedule.Ref) bool {
 // for copy `copy` of t: predecessor pools are consulted for the best head
 // per candidate processor, condition (1) and the vulnerability discipline
 // are enforced, and the candidate preferred by `better` is committed.
-// Chosen heads are consumed from the pools. It returns false when no
-// admissible candidate exists; the caller then falls back.
+// Once an incumbent exists, a processor whose headBound it does not admit
+// is skipped before head selection. Chosen heads are consumed from the
+// pools. It returns false when no admissible candidate exists; the caller
+// then falls back.
 func (st *State) OneToOne(t dag.TaskID, copy int, pools [][]schedule.Ref, better Better) bool {
 	for _, pool := range pools {
 		if len(pool) == 0 {
@@ -363,15 +443,20 @@ func (st *State) OneToOne(t dag.TaskID, copy int, pools [][]schedule.Ref, better
 	}
 	sibV := st.siblingVuln(t, copy)
 
-	var best Candidate
-	found := false
+	inc := incumbent{better: better}
 	for u := 0; u < st.P.NumProcs(); u++ {
 		pu := platform.ProcID(u)
 		if sibV.Contains(u) {
 			continue
 		}
+		if inc.found && !inc.admits(st.headBound(t, pu, pools)) {
+			st.Phases.Pruned++
+			continue
+		}
+		var lb float64
+		var ok bool
 		if st.ReverseMode {
-			if !st.headsReverse(t, copy, pu, pools) {
+			if lb, ok = st.headsReverse(t, copy, pu, pools); !ok {
 				continue
 			}
 			// The widest claim this commit would produce is the reverse
@@ -386,7 +471,7 @@ func (st *State) OneToOne(t dag.TaskID, copy int, pools [][]schedule.Ref, better
 				continue // vulnerability too wide; force a fallback reset
 			}
 		} else {
-			if !st.headsForward(t, pu, pools, sibV) {
+			if lb, ok = st.headsForward(t, pu, pools, sibV); !ok {
 				continue
 			}
 			v := st.vScratch
@@ -399,25 +484,22 @@ func (st *State) OneToOne(t dag.TaskID, copy int, pools [][]schedule.Ref, better
 				continue // vulnerability too wide; force a fallback reset
 			}
 		}
-		cand, ok, _ := st.evalCandidate(t, pu, st.candHeads, true)
-		if !ok {
+		cand, ok, _ := st.evalCandidate(t, pu, st.candHeads, lb, &inc)
+		if !ok || !inc.offer(cand) {
 			continue
 		}
-		if !found || better(cand, best) {
-			best = cand
-			best.Sources = st.swapCandHeads()
-			if st.ReverseMode {
-				st.bestSupp = st.bestSupp[:0]
-				for _, task := range st.mergedTouch {
-					st.bestSupp = append(st.bestSupp, suppPair{Task: task, Copy: st.mergedCopy[task]})
-				}
+		inc.best.Sources = st.swapCandHeads()
+		if st.ReverseMode {
+			st.bestSupp = st.bestSupp[:0]
+			for _, task := range st.mergedTouch {
+				st.bestSupp = append(st.bestSupp, suppPair{Task: task, Copy: st.mergedCopy[task]})
 			}
-			found = true
 		}
 	}
-	if !found {
+	if !inc.found {
 		return false
 	}
+	best := inc.best
 	st.CommitPlace(t, copy, best)
 	if st.ReverseMode {
 		st.commitReverse(t, copy, best.Proc, st.bestSupp)
@@ -485,15 +567,14 @@ func (st *State) AllSources(t dag.TaskID) []schedule.Ref {
 func (st *State) Fallback(t dag.TaskID, copy int, better Better) error {
 	sources := st.AllSources(t)
 	sibV := st.siblingVuln(t, copy)
-	var best Candidate
-	found := false
+	inc := incumbent{better: better}
 	var sawCompute, sawPort bool
 	for u := 0; u < st.P.NumProcs(); u++ {
 		pu := platform.ProcID(u)
 		if sibV.Contains(u) {
 			continue
 		}
-		cand, ok, why := st.evalCandidate(t, pu, sources, true)
+		cand, ok, why := st.evalCandidate(t, pu, sources, 0, &inc)
 		if !ok {
 			switch why {
 			case infeas.ReasonPeriodExceeded:
@@ -503,12 +584,9 @@ func (st *State) Fallback(t dag.TaskID, copy int, better Better) error {
 			}
 			continue
 		}
-		if !found || better(cand, best) {
-			best = cand
-			found = true
-		}
+		inc.offer(cand)
 	}
-	if !found {
+	if !inc.found {
 		// Classify the dominant obstruction: a compute load that cannot fit
 		// is the fundamental "period exceeded" failure; if every admissible
 		// processor had compute headroom, the ports were the bottleneck; and
@@ -524,11 +602,11 @@ func (st *State) Fallback(t dag.TaskID, copy int, better Better) error {
 		return infeas.AtTask(reason, t, copy, st.Period)
 	}
 	st.Phases.Fallbacks++
-	st.CommitPlace(t, copy, best)
+	st.CommitPlace(t, copy, inc.best)
 	if st.ReverseMode {
-		st.commitReverse(t, copy, best.Proc, nil)
+		st.commitReverse(t, copy, inc.best.Proc, nil)
 	} else {
-		st.claim(t, copy).Add(int(best.Proc))
+		st.claim(t, copy).Add(int(inc.best.Proc))
 	}
 	return nil
 }

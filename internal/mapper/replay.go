@@ -85,7 +85,7 @@ func (st *State) ReplayPlace(t dag.TaskID, copy int, pl ReplayPlacement) bool {
 			return false
 		}
 	}
-	cand, ok, _ := st.evalCandidate(t, u, pl.Sources, false)
+	cand, ok, _ := st.evalCandidate(t, u, pl.Sources, 0, nil)
 	if !ok {
 		return false
 	}

@@ -56,8 +56,12 @@ type suppPair struct {
 // construction, and the hottest site (evalCandidate) affords a plain
 // increment but not an atomic or a function call.
 type PhaseCounters struct {
-	// Trials counts candidate placements evaluated (evalCandidate).
+	// Trials counts candidate placements evaluated (evalCandidate calls).
 	Trials int64
+	// Pruned counts candidate processors a lower bound ruled out, before
+	// head selection or before the trial (DESIGN.md §7, "Candidate
+	// bounds").
+	Pruned int64
 	// Placements counts replicas committed (CommitPlace).
 	Placements int64
 	// Rollbacks counts transactions unwound (a Try whose place reported
@@ -160,10 +164,11 @@ type predEdge struct {
 	Vol  float64
 }
 
-// revCand is one scored head candidate in reverse-mode selection.
+// revCand is one scored head candidate in reverse-mode selection: fin and
+// bound as singleCommFinish returns them.
 type revCand struct {
-	ref schedule.Ref
-	fin float64
+	ref        schedule.Ref
+	fin, bound float64
 }
 
 // New prepares a construction state. The algorithm name labels the resulting
@@ -357,21 +362,33 @@ func (st *State) volume(p, t dag.TaskID) float64 {
 // prices into the condition-(1) feasibility sums (§4.1: with the new load
 // added, T·Σ_u ≤ 1, T·C_u^I ≤ 1 and T·C_h^O ≤ 1 for every sending
 // processor h; callers handle the locking part) and the pipeline stage, and
-// — when feasible and trial is set — simulates the placement between a
-// one-port Mark and Rollback with the already-priced durations. One walk
-// over the sources serves the feasibility test, the stage and the trial,
-// and CommitPlace commits the candidate as evaluated. The violated clause
-// of condition (1) comes back classified: the copy-disjointness exclusion
-// maps to ReasonNoProcessor, the compute-load clause to
-// ReasonPeriodExceeded, and the port-budget clauses to ReasonPortOverload.
+// — when feasible and evaluated for a search — simulates the placement with
+// the already-priced durations to find its finish. One walk over the
+// sources serves the feasibility test, the stage and the trial, and
+// CommitPlace commits the candidate as evaluated. The violated clause of
+// condition (1) comes back classified: the copy-disjointness exclusion maps
+// to ReasonNoProcessor, the compute-load clause to ReasonPeriodExceeded,
+// and the port-budget clauses to ReasonPortOverload.
+//
+// inc is the search the candidate competes in; nil (a replay) evaluates
+// feasibility and stage only. Within a search, a candidate whose lower
+// bound cannot beat the incumbent is not tried: ok is false with
+// ReasonUnknown, and Phases.Pruned counts it. The bound is the stage and
+// max(lb, latest source finish plus transfer time) plus the execution
+// time; lb is the latest single-transfer bound (singleCommFinish) of the
+// heads OneToOne chose (0 from Fallback). The trial reserves only the transfers a later
+// transfer of the same trial reads, and prices the last one and the
+// compute slot without reserving them, so a single-source trial leaves the
+// journal untouched.
 //
 //streamsched:hotpath
-func (st *State) evalCandidate(t dag.TaskID, u platform.ProcID, sources []schedule.Ref, trial bool) (cand Candidate, ok bool, why infeas.Reason) {
+func (st *State) evalCandidate(t dag.TaskID, u platform.ProcID, sources []schedule.Ref, lb float64, inc *incumbent) (cand Candidate, ok bool, why infeas.Reason) {
 	st.Phases.Trials++
 	if st.copyProcs.At(int(t)).Contains(int(u)) {
 		return cand, false, infeas.ReasonNoProcessor // hard: two copies of one task on one processor
 	}
-	if st.Sigma[u]+st.execTime(t, u) > st.Period+tol {
+	exec := st.execTime(t, u)
+	if st.Sigma[u]+exec > st.Period+tol {
 		return cand, false, infeas.ReasonPeriodExceeded
 	}
 	ordered := st.orderSources(sources)
@@ -381,6 +398,7 @@ func (st *State) evalCandidate(t dag.TaskID, u platform.ProcID, sources []schedu
 	st.durBuf = st.durBuf[:len(ordered)]
 	addIn := 0.0
 	stage := 1
+	last := -1 // the last transfer that occupies the ports
 	for i, src := range ordered {
 		r := st.Sched.Replica(src)
 		if r == nil {
@@ -398,9 +416,15 @@ func (st *State) evalCandidate(t dag.TaskID, u platform.ProcID, sources []schedu
 				st.outTouch = append(st.outTouch, r.Proc)
 			}
 			st.outDelta[r.Proc] += d
+			if d != 0 {
+				last = i
+			}
 		}
 		if v := st.stage[st.refIdx(src.Task, src.Copy)] + eta; v > stage {
 			stage = v
+		}
+		if fin := r.Finish + st.durBuf[i]; fin > lb {
+			lb = fin
 		}
 	}
 	ok = true
@@ -422,19 +446,30 @@ func (st *State) evalCandidate(t dag.TaskID, u platform.ProcID, sources []schedu
 		return cand, false, why
 	}
 	cand = Candidate{Proc: u, Stage: stage, Sources: sources}
-	if trial {
-		m := st.Sys.Mark()
-		ready := 0.0
-		for i, src := range ordered {
-			r := st.Sched.Replica(src)
-			if _, fin := st.Sys.TransferDur(r.Proc, u, st.durBuf[i], r.Finish); fin > ready {
-				ready = fin
-			}
-		}
-		_, fin := st.Sys.Compute(u, st.G.Task(t).Work, ready)
-		st.Sys.Rollback(m)
-		cand.Finish = fin
+	if inc == nil {
+		return cand, true, infeas.ReasonUnknown
 	}
+	if !inc.admits(Candidate{Proc: u, Stage: stage, Finish: lb + exec}) {
+		st.Phases.Pruned++
+		return cand, false, infeas.ReasonUnknown
+	}
+	m := st.Sys.Mark()
+	ready := 0.0
+	for i, src := range ordered {
+		r := st.Sched.Replica(src)
+		fin := r.Finish
+		switch {
+		case i < last:
+			_, fin = st.Sys.TransferDur(r.Proc, u, st.durBuf[i], r.Finish)
+		case i == last:
+			fin = st.Sys.CommonGap(r.Proc, u, r.Finish, st.durBuf[i]) + st.durBuf[i]
+		}
+		if fin > ready {
+			ready = fin
+		}
+	}
+	st.Sys.Rollback(m)
+	cand.Finish = st.Sys.Comp(u).EarliestGap(ready, exec) + exec
 	return cand, true, infeas.ReasonUnknown
 }
 

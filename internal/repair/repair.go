@@ -91,6 +91,7 @@ func Repair(ctx context.Context, old *schedule.Schedule, newP *platform.Platform
 			sp.SetArg("preserved", res.Stats.Preserved)
 			sp.SetArg("repaired", res.Stats.Repaired)
 			sp.SetArg("trials", st.Phases.Trials)
+			sp.SetArg("pruned", st.Phases.Pruned)
 			sp.SetArg("rollbacks", st.Phases.Rollbacks)
 		}
 	}()

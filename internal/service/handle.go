@@ -178,8 +178,10 @@ type Outcome struct {
 	Cached    bool
 	Coalesced bool
 	// Schedule is the result; ScheduleJSON its interchange rendering,
-	// marshalled once at solve time and shared by every cache hit. An
-	// outcome replayed from a snapshot carries no Schedule, only the bytes.
+	// marshalled once at solve time and shared by every cache hit. Only
+	// the outcome of the solve itself, as its leader and coalesced
+	// followers receive it, carries the Schedule: the cache and the
+	// snapshot keep the bytes alone, so a cache hit carries no Schedule.
 	Schedule     *schedule.Schedule
 	ScheduleJSON []byte
 	Summary      *ScheduleSummary
@@ -264,10 +266,9 @@ func (h *Handle) Simulate(ctx context.Context, sp Spec, scenarios []Scenario) (O
 	}
 	sched := out.Schedule
 	if sched == nil {
-		// The outcome was restored from a snapshot, which keeps only the
-		// rendered bytes (persist.go); rebuild the in-memory schedule from
-		// them against this request's problem — an identical hash means an
-		// identical problem.
+		// A cache hit: the cache keeps only the rendered bytes, so rebuild
+		// the in-memory schedule from them against this request's problem
+		// — an identical hash means an identical problem.
 		if sched, err = schedule.LoadJSON(out.ScheduleJSON, sp.Graph, sp.Platform); err != nil {
 			return out, nil, err
 		}
@@ -553,7 +554,9 @@ func (h *Handle) fly(ctx context.Context, f *flight, sp obs.SpanRef) {
 // its claim, and recomputing an already-cached key would break the "equal
 // hashes compute once" invariant — then admits, computes, folds typed
 // infeasibility into the outcome (a result, not a failure), renders, and
-// fills the cache.
+// fills the cache with the outcome minus its Schedule: the rendered bytes
+// are all a hit replies with, and the schedule's replicas, transfers and
+// tables would otherwise stay live as long as the entry.
 func (h *Handle) resolve(ctx context.Context, j *job) (out Outcome, err error) {
 	defer h.recoverFault(&err)
 	if out, ok := h.cache.Get(j.hash); ok {
@@ -586,7 +589,9 @@ func (h *Handle) resolve(ctx context.Context, j *job) (out Outcome, err error) {
 		out.Replan = stats
 	}
 	if err == nil {
-		h.cache.Put(j.hash, out)
+		stored := out
+		stored.Schedule = nil
+		h.cache.Put(j.hash, stored)
 	}
 	return out, err
 }

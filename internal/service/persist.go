@@ -30,12 +30,12 @@ package service
 // not an outage. The skip counts surface as the snapshotSkipped metric
 // and WarmStart's return values.
 //
-// The in-memory *schedule.Schedule does not survive the spill (it would
-// drag the whole graph/platform object graph into the file); a replayed
-// Outcome carries ScheduleJSON but no Schedule. Solve and Replan serve
-// those bytes directly; Simulate rebuilds the schedule from them against
-// the request's decoded graph and platform when it needs the in-memory
-// form (see Handle.Simulate).
+// Cache entries hold no in-memory *schedule.Schedule (Handle.resolve
+// stores ScheduleJSON alone), so the spill writes the bytes and a
+// replayed Outcome is like any other entry. Solve and Replan serve those
+// bytes directly; Simulate rebuilds the schedule from them against the
+// request's decoded graph and platform when it needs the in-memory form
+// (see Handle.Simulate).
 
 import (
 	"bytes"
@@ -71,8 +71,8 @@ var snapshotMagic = [8]byte{'S', 'S', 'C', 'H', 'S', 'N', 'A', 'P'}
 var errSnapshotHeader = errors.New("service: unusable snapshot header")
 
 // snapPayload is the JSON payload of one snapshot entry: the cached
-// Outcome with the in-memory schedule reduced to its rendered bytes.
-// Exactly one of Schedule and Infeasible is set.
+// Outcome, whose schedule is its rendered bytes. Exactly one of Schedule
+// and Infeasible is set.
 type snapPayload struct {
 	Schedule   json.RawMessage  `json:"schedule,omitempty"`
 	Summary    *ScheduleSummary `json:"summary,omitempty"`

@@ -277,6 +277,41 @@ func TestSimulateAfterSnapshotRestore(t *testing.T) {
 	}
 }
 
+// The LRU keeps an outcome's rendered bytes, not its Schedule: the solve
+// that fills the entry replies with the schedule, every hit with the same
+// bytes alone, and Simulate rebuilds the schedule from them with the same
+// sweep as the miss.
+func TestCacheKeepsOnlyRenderedBytes(t *testing.T) {
+	h := NewHandle(Config{})
+	ctx := context.Background()
+	spec := solveSpec(t, feasibleRequest(2))
+	scenarios := []Scenario{{Name: "free"}, {Name: "crash", CrashProcs: []int{0}, CrashAt: 5}}
+	miss, want, err := h.Simulate(ctx, spec, scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if miss.Cached || miss.Schedule == nil {
+		t.Fatalf("first solve cached=%v schedule=%v: want the solve's own schedule", miss.Cached, miss.Schedule != nil)
+	}
+	stored, ok := h.cache.Get(miss.Hash)
+	if !ok || stored.Schedule != nil || !bytes.Equal(stored.ScheduleJSON, miss.ScheduleJSON) {
+		t.Fatalf("cache entry present=%v schedule=%v: want the rendered bytes only", ok, ok && stored.Schedule != nil)
+	}
+	hit, got, err := h.Simulate(ctx, spec, scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached || hit.Schedule != nil || !bytes.Equal(hit.ScheduleJSON, miss.ScheduleJSON) {
+		t.Fatalf("hit cached=%v schedule=%v: want the cached bytes only", hit.Cached, hit.Schedule != nil)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sweep on a hit %+v, want %+v", got, want)
+	}
+	if m := h.Metrics(); m.SolveCalls != 1 {
+		t.Fatalf("solveCalls = %d, want 1", m.SolveCalls)
+	}
+}
+
 func FuzzSnapshotDecode(f *testing.F) {
 	h := NewHandle(Config{})
 	req := feasibleRequest(2)

@@ -415,8 +415,9 @@ func TestLeaderRechecksCacheAfterClaim(t *testing.T) {
 	}
 	f.job = job{hash: hash, solve: sp}
 	srv.lead(f, obs.SpanRef{})
+	cached, _ := srv.cache.Get(hash)
 	out, err := f.Wait(context.Background())
-	if err != nil || out.Schedule == nil {
+	if err != nil || len(out.ScheduleJSON) == 0 || !bytes.Equal(out.ScheduleJSON, cached.ScheduleJSON) {
 		t.Fatalf("flight did not resolve from cache: %v %+v", err, out)
 	}
 	if m := srv.Metrics(); m.SolveCalls != 1 {

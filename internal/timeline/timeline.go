@@ -73,11 +73,25 @@ const eps = 1e-9
 // at or after ready. dur must be non-negative.
 func (tl *Timeline) EarliestGap(ready, dur float64) float64 {
 	if dur < 0 {
-		panic(fmt.Sprintf("timeline: negative duration %v", dur))
+		panicNegativeDuration(dur)
 	}
-	s := ready
-	// Locate the first busy interval that could constrain s.
-	i := sort.Search(len(tl.busy), func(k int) bool { return tl.busy[k].End > s })
+	s, _ := tl.scan(ready, dur, tl.firstEndAfter(ready))
+	return s
+}
+
+// firstEndAfter returns the index of the first busy interval that ends
+// after s: the first that can constrain a slot starting at s.
+func (tl *Timeline) firstEndAfter(s float64) int {
+	return sort.Search(len(tl.busy), func(k int) bool { return tl.busy[k].End > s })
+}
+
+// scan is the gap search from cursor i, where every interval before i ends
+// at or before s: it pushes s past every interval that [s, s+dur) does not
+// fit before. It returns the slot and the cursor it stopped at, which
+// satisfies the precondition again for any later s' ≥ s.
+//
+//streamsched:hotpath
+func (tl *Timeline) scan(s, dur float64, i int) (float64, int) {
 	for ; i < len(tl.busy); i++ {
 		iv := tl.busy[i]
 		if iv.Start-s >= dur-eps {
@@ -87,7 +101,13 @@ func (tl *Timeline) EarliestGap(ready, dur float64) float64 {
 			s = iv.End
 		}
 	}
-	return s
+	return s, i
+}
+
+// panicNegativeDuration is the gap searches' cold panic path: the message
+// formatting stays out of the hot-path functions.
+func panicNegativeDuration(dur float64) {
+	panic(fmt.Sprintf("timeline: negative duration %v", dur))
 }
 
 // FitsAt reports whether [s, s+dur) is free.
@@ -154,30 +174,34 @@ func (tl *Timeline) MustReserve(iv Interval) int {
 func (tl *Timeline) RemoveAt(i int) { tl.busy = slices.Delete(tl.busy, i, i+1) }
 
 // EarliestCommonGap returns the earliest s ≥ ready such that [s, s+dur) is
-// simultaneously free on every timeline in tls. This is the placement
-// primitive for one-port transfers, which occupy the sender's send port and
-// the receiver's receive port over the same window.
-func EarliestCommonGap(ready, dur float64, tls ...*Timeline) float64 {
+// free on both a and b. This is the placement primitive for one-port
+// transfers, which occupy the sender's send port and the receiver's receive
+// port over the same window.
+//
+// It is one walk over the two timelines: one binary search each, then
+// passes that scan a and then b from their cursors until neither moves s.
+// The cursors only advance, so a call costs O(log n + intervals passed).
+// The result is exactly what alternating EarliestGap on a and b until
+// neither moves returns, whenever every busy interval is longer than eps:
+// each pass then equals an EarliestGap call from the current s, because
+// an interval the cursor meets that ends by s starts more than eps before
+// it, so the scan steps over it as the binary search would. Every pass
+// that does not end the walk moves s to some interval's end, so the walk
+// terminates.
+//
+//streamsched:hotpath
+func EarliestCommonGap(ready, dur float64, a, b *Timeline) float64 {
 	if dur < 0 {
-		panic(fmt.Sprintf("timeline: negative duration %v", dur))
+		panicNegativeDuration(dur)
 	}
 	s := ready
-	for iter := 0; ; iter++ {
-		moved := false
-		for _, tl := range tls {
-			ns := tl.EarliestGap(s, dur)
-			if ns > s {
-				s = ns
-				moved = true
-			}
-		}
-		if !moved {
+	i, j := a.firstEndAfter(s), b.firstEndAfter(s)
+	for {
+		from := s
+		s, i = a.scan(s, dur, i)
+		s, j = b.scan(s, dur, j)
+		if s == from {
 			return s
-		}
-		// Each pass either terminates or advances s past the end of some
-		// busy interval, so the loop is bounded by the total interval count.
-		if iter > 1<<20 {
-			panic("timeline: EarliestCommonGap failed to converge")
 		}
 	}
 }

@@ -194,31 +194,111 @@ func TestEarliestCommonGapBasic(t *testing.T) {
 	}
 }
 
+// Three resources in two timelines: b and c are disjoint, so one timeline
+// holds both, and the walk must clear a's, b's and c's intervals.
 func TestEarliestCommonGapThreeResources(t *testing.T) {
-	var a, b, c Timeline
+	var a, bc Timeline
 	mustReserve(t, &a, 0, 2)
-	mustReserve(t, &b, 3, 5)
-	mustReserve(t, &c, 6, 8)
-	// dur 1: a ok at 2..; b blocks [3,5): candidate 2 fits? [2,3) free on all.
-	if got := EarliestCommonGap(0, 1, &a, &b, &c); got != 2 {
+	mustReserve(t, &bc, 3, 5)
+	mustReserve(t, &bc, 6, 8)
+	// dur 1: [2,3) is free on both.
+	if got := EarliestCommonGap(0, 1, &a, &bc); got != 2 {
 		t.Fatalf("common gap = %v, want 2", got)
 	}
-	if got := EarliestCommonGap(0, 4, &a, &b, &c); got != 8 {
+	if got := EarliestCommonGap(0, 4, &a, &bc); got != 8 {
 		t.Fatalf("common gap = %v, want 8", got)
 	}
 }
 
+// An empty partner timeline leaves the other's own gap.
 func TestEarliestCommonGapSingle(t *testing.T) {
-	var a Timeline
+	var a, empty Timeline
 	mustReserve(t, &a, 1, 3)
-	if got := EarliestCommonGap(0, 1, &a); got != 0 {
+	if got := EarliestCommonGap(0, 1, &a, &empty); got != 0 {
 		t.Fatalf("got %v", got)
+	}
+	if got := EarliestCommonGap(0, 2, &empty, &a); got != 3 {
+		t.Fatalf("got %v, want 3", got)
 	}
 }
 
 func TestEarliestCommonGapNoTimelines(t *testing.T) {
-	if got := EarliestCommonGap(7, 3); got != 7 {
+	var a, b Timeline
+	if got := EarliestCommonGap(7, 3, &a, &b); got != 7 {
 		t.Fatalf("got %v, want ready", got)
+	}
+}
+
+// alternatingCommonGap is the search EarliestCommonGap replaced: fresh
+// EarliestGap calls on each timeline in turn until neither moves. It is
+// the reference the walk must equal.
+func alternatingCommonGap(ready, dur float64, tls ...*Timeline) float64 {
+	s := ready
+	for {
+		moved := false
+		for _, tl := range tls {
+			if ns := tl.EarliestGap(s, dur); ns > s {
+				s, moved = ns, true
+			}
+		}
+		if !moved {
+			return s
+		}
+	}
+}
+
+// randomPort builds a port timeline whose neighbours often touch within
+// eps: each interval starts at the previous end, eps before or after it,
+// or a real gap later.
+func randomPort(r *rng.Source, n int) *Timeline {
+	tl := &Timeline{}
+	end := r.Uniform(0, 3)
+	for i := 0; i < n; i++ {
+		start := end
+		switch r.IntN(4) {
+		case 0:
+			start = end - r.Uniform(0, eps)
+		case 1:
+			start = end + r.Uniform(0, eps)
+		case 2:
+			start = end + r.Uniform(0, 3)
+		}
+		end = start + r.Uniform(0.01, 3)
+		tl.MustReserve(Interval{Start: start, End: end})
+	}
+	return tl
+}
+
+// The two-timeline walk returns exactly what the alternating loop returns:
+// on eps-touching neighbours, with zero durations, durations that fit a
+// gap exactly, and ready inside, between, on the edge of and after the
+// intervals.
+func TestEarliestCommonGapMatchesAlternating(t *testing.T) {
+	r := rng.New(22)
+	for trial := 0; trial < 3000; trial++ {
+		a, b := randomPort(r, r.IntN(12)), randomPort(r, r.IntN(12))
+		readies := []float64{0, r.Uniform(0, 40), a.Horizon() + 1}
+		for _, iv := range append(append([]Interval(nil), a.Busy()...), b.Busy()...) {
+			readies = append(readies, iv.Start, iv.End, iv.End-eps/2, (iv.Start+iv.End)/2)
+		}
+		durs := []float64{0, eps / 2, r.Uniform(0, 1), r.Uniform(0, 5)}
+		if n := a.Len(); n > 1 {
+			durs = append(durs, a.Busy()[1].Start-a.Busy()[0].End)
+		}
+		for _, ready := range readies {
+			for _, dur := range durs {
+				if dur < 0 {
+					continue
+				}
+				want := alternatingCommonGap(ready, dur, a, b)
+				if got := EarliestCommonGap(ready, dur, a, b); got != want {
+					t.Fatalf("trial %d ready %v dur %v: walk %v, alternating %v\na %v\nb %v", trial, ready, dur, got, want, a.Busy(), b.Busy())
+				}
+				if got := EarliestCommonGap(ready, dur, b, a); got != alternatingCommonGap(ready, dur, b, a) {
+					t.Fatalf("trial %d ready %v dur %v (b, a): walk %v, alternating %v", trial, ready, dur, got, alternatingCommonGap(ready, dur, b, a))
+				}
+			}
+		}
 	}
 }
 
@@ -278,7 +358,7 @@ func TestReserveSequenceProperty(t *testing.T) {
 func TestCommonGapProperty(t *testing.T) {
 	r := rng.New(1234)
 	for trial := 0; trial < 200; trial++ {
-		tls := make([]*Timeline, 2+r.IntN(3))
+		tls := make([]*Timeline, 2)
 		for j := range tls {
 			tls[j] = &Timeline{}
 			end := 0.0
@@ -290,7 +370,7 @@ func TestCommonGapProperty(t *testing.T) {
 		}
 		ready := r.Uniform(0, 20)
 		dur := r.Uniform(0.1, 6)
-		s := EarliestCommonGap(ready, dur, tls...)
+		s := EarliestCommonGap(ready, dur, tls[0], tls[1])
 		if s < ready {
 			t.Fatalf("slot before ready")
 		}
