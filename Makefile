@@ -2,7 +2,7 @@
 # so a green `make ci` predicts a green CI run.
 
 GO ?= go
-BENCH_RE ?= BenchmarkLTF|BenchmarkRLTF|BenchmarkReplan|BenchmarkSim|BenchmarkTimelineReserve|BenchmarkServiceSolveCached|BenchmarkServiceSolveTraced|BenchmarkTxnRollback|BenchmarkScheduleJSON|BenchmarkReplanHash
+BENCH_RE ?= BenchmarkLTF|BenchmarkRLTF|BenchmarkReplan|BenchmarkSim|BenchmarkTimelineReserve|BenchmarkServiceSolveCached|BenchmarkServiceSimulateCached|BenchmarkServiceSolveTraced|BenchmarkTxnRollback|BenchmarkScheduleJSON|BenchmarkReplanHash
 BENCHTIME ?= 5x
 COUNT ?= 3
 

@@ -414,7 +414,7 @@ func BenchmarkSim(b *testing.B) {
 				events += eng.Events()
 			}
 			// Event-count regressions (a wake push per gated instance
-			// instead of per bucket, a transfer granted at another time)
+			// instead of per cycle, a transfer granted at another time)
 			// hide inside ns/op noise; the gate reds on wakes/op and
 			// events/op growth directly.
 			b.ReportMetric(float64(wakes)/float64(b.N), "wakes/op")
@@ -670,6 +670,58 @@ func BenchmarkServiceSolveCached(b *testing.B) {
 	m := srv.Metrics()
 	if m.SolveCalls != 1 {
 		b.Fatalf("cache failed: %d solver calls for %d requests", m.SolveCalls, b.N*reqsPerOp+1)
+	}
+}
+
+// BenchmarkServiceSimulateCached measures a warm /v1/simulate request: the
+// problem (BenchmarkLTF's ε=1 instance, 20 processors) is a cache hit, so
+// one op is the request's decode, hash and LRU hit, the rebuild of the
+// schedule from the cached bytes, and a sweep of two 8-item scenarios
+// (dataflow and synchronous) on one engine. Part of the CI perf gate
+// (Makefile BENCH_RE); defined before BenchmarkServiceSolveTraced, which
+// arms tracing for the rest of the process.
+func BenchmarkServiceSimulateCached(b *testing.B) {
+	r := rng.New(11)
+	p := platform.RandomHeterogeneous(r, 20, 0.5, 1, 0.5, 1, 100)
+	g := randgraph.Stream(r, randgraph.DefaultStreamConfig(), p)
+	srv := streamsched.NewService(streamsched.ServiceConfig{})
+	handler := srv.Handler()
+	payload, err := json.Marshal(streamsched.WireSimulateRequest{
+		Graph:    streamsched.NewWireGraph(g),
+		Platform: streamsched.NewWirePlatform(p),
+		Options:  streamsched.WireOptions{Algorithm: "ltf", Eps: 1, Period: 20},
+		Scenarios: []streamsched.WireScenario{
+			{Name: "dataflow", Items: 8},
+			{Name: "synchronous", Items: 8, Synchronous: true},
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := func() int {
+		req := httptest.NewRequest(http.MethodPost, "/v1/simulate", bytes.NewReader(payload))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	if code := post(); code != http.StatusOK { // warm the cache
+		b.Fatalf("warm-up simulate: HTTP %d", code)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if code := post(); code != http.StatusOK {
+			b.Fatalf("cached simulate: HTTP %d", code)
+		}
+	}
+	b.StopTimer()
+	m := srv.Metrics()
+	if m.SolveCalls != 1 {
+		b.Fatalf("cache failed: %d solver calls for %d requests", m.SolveCalls, b.N+1)
+	}
+	if want := int64(2 * (b.N + 1)); m.SimRuns != want {
+		b.Fatalf("%d simulation runs for %d requests, want %d", m.SimRuns, b.N+1, want)
 	}
 }
 

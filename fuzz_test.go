@@ -140,19 +140,19 @@ func decodeFuzzCase(data []byte) fuzzCase {
 // FuzzSolve checks the paper's guarantees through the whole solver: each
 // decoded instance is solved (and, with a delta, replanned), and every
 // schedule that comes back must pass the full audit, including the
-// exhaustive ≤ε failure enumeration, and hold what TestPaperGuarantees
-// asserts in simulation under every crash set of at most ε processors, in
-// both modes: every item delivered, latency within (2S−1)Δ, and in
-// synchronous mode a period of at most Δ. An instance may be infeasible,
+// exhaustive ≤ε failure enumeration, and hold in simulation under every
+// crash set of at most ε processors what the model promises in each mode.
+// Both modes deliver every item. The stage-synchronized mode also keeps
+// every latency within (2S−1)Δ and sustains a period of at most Δ: those
+// are guarantees of the paper's synchronous semantics, not of free-running
+// dataflow (see sim.Config.Synchronous). An instance may be infeasible,
 // but then the error must match ErrInfeasible; any other error fails.
 //
 // The achieved period is a mean over the measured items, so it is asserted
-// only where it measures the steady state: not in dataflow mode, where the
-// finite-window mean can read above Δ with every item delivered, and not
-// for a crash inside the measured window, where the survivors deliver at
-// other offsets within their cycles from the crash on and the one shift
-// reads as a mean above Δ (48.013 at Δ=48 for an R-LTF schedule with
-// S=1 and a crash at 7.5Δ).
+// only where it measures the steady state: not for a crash inside the
+// measured window, where the survivors deliver at other offsets within
+// their cycles from the crash on and the one shift reads as a mean above
+// Δ (48.013 at Δ=48 for an R-LTF schedule with S=1 and a crash at 7.5Δ).
 func FuzzSolve(f *testing.F) {
 	// Header bytes: tasks, ε, procs, algo (0 LTF, 1 R-LTF, 2 Portfolio),
 	// lookahead (0→1, 1→2, 2→4), period, crash time (0 at t=0, 1 in the
@@ -182,6 +182,13 @@ func FuzzSolve(f *testing.F) {
 		seed = append(seed, kind, 2, 3, 4, 5, 6, 7) // delta kind and parameters
 		f.Add(seed)
 	}
+	// R-LTF at ε=0 with lookahead 4, Δ=5 and S=3, where one processor runs
+	// t1 (1.5) and t5 (3.5), a load of exactly Δ. In dataflow mode each
+	// idle gap it spends waiting for t5's input is lost for good: the
+	// period reads 5.144 and the latency climbs from 15.2 to 26.5, above
+	// the 25 of (2S−1)Δ, while the synchronous run delivers every item at
+	// 23.5 with a period of exactly 5.
+	f.Add([]byte("70%12\x040020$7&7702C77$000000100002000000000000000000010001100100000019"))
 	// Random inputs that reach the rarer paths: an infeasible lookahead
 	// window (1), a rolled-back R-LTF retry rung (15) and repair's preserve
 	// rung (27).
@@ -228,7 +235,9 @@ func FuzzSolve(f *testing.F) {
 }
 
 // checkFuzzSchedule audits s and simulates it in both modes under every
-// crash set of at most ε processors, crashing at the given time.
+// crash set of at most ε processors, crashing at the given time: both modes
+// must deliver every item, and the synchronous mode must also keep the
+// latency bound and the period.
 func checkFuzzSchedule(t *testing.T, what string, s *streamsched.Schedule, crash crashTime) {
 	t.Helper()
 	if err := s.Validate(); err != nil {
@@ -256,10 +265,13 @@ func checkFuzzSchedule(t *testing.T, what string, s *streamsched.Schedule, crash
 			if res.Delivered != res.Items {
 				t.Fatalf("%s: delivered %d of %d items", run, res.Delivered, res.Items)
 			}
+			if !sync {
+				continue
+			}
 			if res.MaxLatency > bound {
 				t.Fatalf("%s: max latency %v above the (2S−1)Δ bound %v", run, res.MaxLatency, s.LatencyBound())
 			}
-			if sync && crash != crashInWindow && res.AchievedPeriod > maxPeriod {
+			if crash != crashInWindow && res.AchievedPeriod > maxPeriod {
 				t.Fatalf("%s: achieved period %v above Δ=%v", run, res.AchievedPeriod, s.Period)
 			}
 		}

@@ -10,21 +10,21 @@ package sim
 //     and then grants pending transfers greedily in commLess order.
 //  2. Synchronous-mode cycle gates are evaluated at the first dispatcher
 //     pass that sees them (CPU gates only while the processor is idle).
-//     Gate openings are batched: instances bucket per (cycle, processor)
-//     and transfers per opening time, and one evWake per distinct future
-//     time serves every bucket that shares it (scheduleWake). This is
-//     byte-identical to the original once-per-instance wake pushes because
-//     a duplicate wake at the same time is a pure no-op dispatcher pass:
-//     the first dispatch at time t drains every gate with at <= t, and
-//     dropping a push only shifts later event sequence numbers uniformly,
-//     which preserves the relative order of all remaining events.
+//     Every gate is a whole cycle c, open from c·Δ on, so gated work parks
+//     in the slot of its cycle in a ring (cal), and one evWake per cycle
+//     serves everything parked there (gate). This is byte-identical to the
+//     original once-per-instance wake pushes because a duplicate wake at
+//     the same time is a pure no-op dispatcher pass: the first dispatch at
+//     time t opens every cycle with c·Δ <= t, and dropping a push only
+//     shifts later event sequence numbers uniformly, which preserves the
+//     relative order of all remaining events.
 //  3. Instances are materialized lazily (first touch), which the crash
 //     handler observes: only already-created instances fail eagerly.
 //
 // Instead of rescanning every queue per event, the engine keeps per-proc
 // ready heaps and a dirty-processor bitset, one pending-transfer list per
 // (sender, receiver) processor pair feeding a per-event candidate list, and
-// gate heaps that open by time — each event touches only state it could have
+// the ring of cycle slots — each event touches only state it could have
 // changed, and the full-rescan behaviour is reproduced exactly (see
 // dispatch and collectFreed).
 
@@ -97,37 +97,30 @@ type simLink struct {
 
 // xfer is the dynamic state of one in-flight or pending transfer.
 type xfer struct {
-	link     int32
-	item     int32
-	earliest float64 // synchronous-mode cycle gate; 0 in dataflow mode
+	link int32
+	item int32
+	// gate is the cycle the transfer may move in (synchronous mode); 0 in
+	// dataflow mode, where cycle 0 has opened before any transfer exists.
+	gate int32
 	// prev and next thread the transfer through its (sender, receiver)
 	// pair list while listed; -1 ends the list.
 	prev, next int32
 	state      uint8
 	// listed is set exactly while the transfer is on its pair list: pending
-	// and not parked in a gate bucket.
+	// and not parked in a cycle slot.
 	listed bool
 }
 
 type instRef struct{ item, rep int32 }
 
-// gateBucket collects every instance of one processor whose cycle gate opens
-// at the same time: one timed mark and one (shared) wake event open them all.
-type gateBucket struct {
-	at   float64
-	refs []instRef
-}
-
-// commBucket is the transfer-side analogue: all gated transfers opening at
-// the same time re-enter arbitration together.
-type commBucket struct {
-	at  float64
-	cis []int32
-}
-
-type timedIdx struct {
-	at float64
-	ix int32
+// cycleSlot is what one synchronous cycle opens: the instances that become
+// ready and the transfers that re-enter arbitration. armed is set while the
+// cycle's one evWake is pushed and the cycle has not opened, and exactly
+// then refs and cis hold lists taken from the engine's free lists.
+type cycleSlot struct {
+	refs  []instRef
+	cis   []int32
+	armed bool
 }
 
 // Engine simulates one schedule. It is built once per schedule with
@@ -161,9 +154,8 @@ type Engine struct {
 	exitIdx   []int32 // [task] → dense exit index, -1 for interior tasks
 	nExit     int
 
-	// stage[rep] is the pipeline stage (synchronous mode), built lazily.
-	stage      []int32
-	haveStages bool
+	// stage[rep] is the pipeline stage σ of the replica.
+	stage []int32
 
 	// --- Dynamic state, reset per Run ---
 
@@ -192,17 +184,33 @@ type Engine struct {
 	deadFrom []float64 // +Inf = never fails
 
 	cpuBusy  []bool
-	ready    [][]instRef    // per-proc binary heap by instLess
-	gatedNew [][]instRef    // per-proc unwoken gated instances, append order
-	gated    [][]gateBucket // per-proc min-heap of (cycle, proc) buckets
-	dirty    []uint64       // processor worklist bitset
-	cpuGates []timedIdx     // min-heap: one (gate, proc) mark per bucket
-	freeRefs [][]instRef    // recycled gateBucket ref slices
+	ready    [][]instRef // per-proc binary heap by instLess
+	gatedNew [][]instRef // per-proc queued instances awaiting their gate check
+	dirty    bitset.Set  // processor worklist
 
-	sendBusy, recvBusy     []bool
-	sendActive, recvActive []int32 // in-flight transfer per port, -1 free
+	// The in-flight transfer on each port, -1 while the port is free.
+	sendActive, recvActive []int32
 
-	// Listed transfers (pending, not parked in a gate bucket), one list per
+	// Synchronous gating. Cycle c opens at c·Δ, and cal[c & calMask] holds
+	// what it opens; cycle is the first cycle not yet opened. The ring never
+	// wraps onto a pending cycle. A stage-σ instance of item k computes no
+	// earlier than cycle k+2(σ−1) ≤ k+2(S−1); it is queued no earlier than
+	// its injection at kΔ, so when it parks cycle ≥ k+1 and its gate is at
+	// most 2S−3 cycles ahead. A transfer's gate is the cycle right after its
+	// source's gated start, which has opened, so it parks in the first
+	// unopened cycle. At most 2S−2 cycles are therefore ever pending, fewer
+	// than len(cal), the smallest power of two ≥ 2S. No gate lies past cycle
+	// Items+2S−2, so cycles from Items+len(cal) on hold nothing and are
+	// never opened: a run opens a bounded number of cycles, however far its
+	// clock runs past its last gate. Opened slots return their lists to
+	// freeRefs and freeCIs.
+	cal      []cycleSlot
+	calMask  int
+	cycle    int
+	freeRefs [][]instRef
+	freeCIs  [][]int32
+
+	// Listed transfers (pending, not parked in a cycle slot), one list per
 	// (sender, receiver) processor pair threaded through xfer.prev/next:
 	// pairHead[u·m+v] heads pair (u, v)'s list, -1 when empty. Set u of
 	// sendPairs holds v, and set v of recvPairs holds u, exactly while that
@@ -212,15 +220,10 @@ type Engine struct {
 
 	comms      []xfer
 	freeComms  []int32
-	commGated  []commBucket // min-heap of per-opening-time transfer buckets
-	freeCIs    [][]int32    // recycled commBucket index slices
-	candidates []int32      // transfers the current event could have changed
-	candKeys   []uint64     // commKey cache scratch for the candidate sort
+	candidates []int32  // transfers the current event could have changed
+	candKeys   []uint64 // commKey cache scratch for the candidate sort
 
-	// wakePending holds the distinct future times an evWake is armed for;
-	// wakes counts the events actually pushed (the wakes/op bench metric).
-	wakePending []timedIdx
-	wakes       int64
+	wakes int64 // evWake events pushed (the wakes/op bench metric)
 
 	exitDone []float64 // [item·nExit + exit] completion time, -1 unrecorded
 	exitCnt  []int32   // [item] exits recorded
@@ -359,20 +362,30 @@ func NewEngine(s *schedule.Schedule) (*Engine, error) {
 	e.cpuBusy = make([]bool, m)
 	e.ready = make([][]instRef, m)
 	e.gatedNew = make([][]instRef, m)
-	e.gated = make([][]gateBucket, m)
-	e.dirty = make([]uint64, (m+63)/64)
-	e.sendBusy = make([]bool, m)
-	e.recvBusy = make([]bool, m)
+	e.dirty = bitset.New(m)
 	e.sendActive = make([]int32, m)
 	e.recvActive = make([]int32, m)
 	e.pairHead = make([]int32, m*m)
 	e.sendPairs = bitset.NewSpan(m, m)
 	e.recvPairs = bitset.NewSpan(m, m)
 
-	// Ring sized for the steady-state window: a delivered item is live for
-	// about its latency, bounded by (2S−1)·Δ ≈ 2S periods.
-	w := 4
-	for w < 2*s.Stages()+8 {
+	stages := 0
+	e.stage = make([]int32, nrep)
+	for i, st := range s.StageNumbers() {
+		e.stage[i] = int32(st)
+		stages = max(stages, st)
+	}
+	w := 1
+	for w < 2*stages {
+		w *= 2
+	}
+	e.cal = make([]cycleSlot, w)
+	e.calMask = w - 1
+
+	// Item ring sized for the steady-state window: a delivered item is live
+	// for about its latency, bounded by (2S−1)·Δ ≈ 2S periods.
+	w = 4
+	for w < 2*stages+8 {
 		w *= 2
 	}
 	e.sizeRing(w)
@@ -448,30 +461,24 @@ func (e *Engine) reset(cfg Config) {
 		e.cpuBusy[u] = false
 		e.ready[u] = e.ready[u][:0]
 		e.gatedNew[u] = e.gatedNew[u][:0]
-		e.dropGateBuckets(int32(u))
-		e.sendBusy[u] = false
-		e.recvBusy[u] = false
 		e.sendActive[u] = -1
 		e.recvActive[u] = -1
 		e.sendPairs.At(u).Clear()
 		e.recvPairs.At(u).Clear()
 	}
-	for i := range e.dirty {
-		e.dirty[i] = 0
-	}
-	// A cancelled run leaves transfers listed: forget them all.
+	e.dirty.Clear()
+	// A cancelled run leaves transfers listed and work parked: forget them
+	// all.
 	for i := range e.pairHead {
 		e.pairHead[i] = -1
 	}
+	for i := range e.cal {
+		e.disarm(&e.cal[i])
+	}
+	e.cycle = 0
 	e.comms = e.comms[:0]
 	e.freeComms = e.freeComms[:0]
-	for i := range e.commGated {
-		e.freeCIs = append(e.freeCIs, e.commGated[i].cis[:0])
-	}
-	e.commGated = e.commGated[:0]
-	e.cpuGates = e.cpuGates[:0]
 	e.candidates = e.candidates[:0]
-	e.wakePending = e.wakePending[:0]
 	e.wakes = 0
 	for i := range e.itemOf {
 		e.itemOf[i] = -1
@@ -497,13 +504,6 @@ func (e *Engine) reset(cfg Config) {
 		e.exitCnt[i] = 0
 	}
 	e.spans = nil
-	if cfg.Synchronous && !e.haveStages {
-		e.stage = make([]int32, e.nrep)
-		for i, st := range e.s.StageNumbers() {
-			e.stage[i] = int32(st)
-		}
-		e.haveStages = true
-	}
 }
 
 // loop drains the event queue. Item injections (one per item, at k·Δ) and
@@ -549,18 +549,13 @@ func (e *Engine) loop(ctx context.Context) error {
 			e.failTodo = false
 			e.failProcs()
 		case 2:
+			// An evWake has no handler: the dispatch below opens its cycle.
 			ev := e.popEvent()
 			switch ev.kind {
 			case evExec:
 				e.execComplete(ev.item, ev.a)
 			case evComm:
 				e.commComplete(ev.a)
-			case evWake:
-				// dispatch below is the whole effect; retire the armed time
-				// so a later bucket at the same instant can re-arm.
-				if len(e.wakePending) > 0 && e.wakePending[0].at <= e.now {
-					heapPopTimed(&e.wakePending)
-				}
 			}
 		}
 		e.dispatch()
@@ -724,15 +719,24 @@ func (e *Engine) failInstance(item, rep int32) {
 	e.st[i] = stFailed
 	e.live[e.pos(item)]--
 	for li := e.linkOff[rep]; li < e.linkOff[rep+1]; li++ {
-		l := &e.links[li]
-		e.instFor(item, l.dstRep)
-		di := e.instIdx(item, l.dstRep)
-		if e.st[di] != stPending {
-			continue
-		}
-		e.outst[e.pos(item)*e.npred+int(l.predSlot)]--
-		e.tryEnqueue(item, l.dstRep)
+		e.settle(item, &e.links[li], false)
 	}
+}
+
+// settle resolves one input of link l's consumer instance for item: it
+// arrived, or it never will. The consumer is materialized first; one that
+// is no longer pending has been resolved already and ignores the input.
+func (e *Engine) settle(item int32, l *simLink, arrived bool) {
+	e.instFor(item, l.dstRep)
+	if e.st[e.instIdx(item, l.dstRep)] != stPending {
+		return
+	}
+	slot := e.pos(item)*e.npred + int(l.predSlot)
+	e.outst[slot]--
+	if arrived {
+		e.arrived[slot]++
+	}
+	e.tryEnqueue(item, l.dstRep)
 }
 
 func (e *Engine) execComplete(item, rep int32) {
@@ -771,9 +775,14 @@ func (e *Engine) execComplete(item, rep int32) {
 		}
 	}
 
-	// Emit outputs.
+	// Emit outputs. A co-located input arrives at once; settling it fails
+	// a consumer on a dead processor, as the transfer path below does.
 	for li := e.linkOff[rep]; li < e.linkOff[rep+1]; li++ {
 		l := &e.links[li]
+		if l.colocated {
+			e.settle(item, l, true)
+			continue
+		}
 		e.instFor(item, l.dstRep)
 		di := e.instIdx(item, l.dstRep)
 		if e.st[di] != stPending {
@@ -784,24 +793,17 @@ func (e *Engine) execComplete(item, rep int32) {
 			e.failInstance(item, l.dstRep)
 			continue
 		}
-		if l.colocated {
-			slot := e.pos(item)*e.npred + int(l.predSlot)
-			e.outst[slot]--
-			e.arrived[slot]++
-			e.tryEnqueue(item, l.dstRep)
-			continue
-		}
 		ci := e.allocComm()
 		c := &e.comms[ci]
 		*c = xfer{link: li, item: item, state: cPending}
 		if e.cfg.Synchronous {
 			// Cross-stage transfers wait for the communication cycle
 			// following the source's compute cycle.
-			c.earliest = float64(int(item)+2*int(e.stage[rep])-1) * e.period
+			c.gate = item + 2*e.stage[rep] - 1
 		}
 		e.live[e.pos(item)]++
 		e.listComm(ci)
-		if !e.sendBusy[u] && !e.recvBusy[v] {
+		if e.sendActive[u] < 0 && e.recvActive[v] < 0 {
 			e.candidates = append(e.candidates, ci)
 		}
 	}
@@ -818,8 +820,6 @@ func (e *Engine) commComplete(ci int32) {
 	}
 	l := &e.links[c.link]
 	src, dst := e.repProc[l.srcRep], e.repProc[l.dstRep]
-	e.sendBusy[src] = false
-	e.recvBusy[dst] = false
 	e.sendActive[src] = -1
 	e.recvActive[dst] = -1
 	item := c.item
@@ -831,14 +831,7 @@ func (e *Engine) commComplete(ci int32) {
 			trace.Span{Name: name, Lane: fmt.Sprintf("P%d:send", src+1), Start: e.now - l.dur, End: e.now, Args: args},
 			trace.Span{Name: name, Lane: fmt.Sprintf("P%d:recv", dst+1), Start: e.now - l.dur, End: e.now, Args: args})
 	}
-	e.instFor(item, l.dstRep)
-	di := e.instIdx(item, l.dstRep)
-	if e.st[di] == stPending {
-		slot := e.pos(item)*e.npred + int(l.predSlot)
-		e.outst[slot]--
-		e.arrived[slot]++
-		e.tryEnqueue(item, l.dstRep)
-	}
+	e.settle(item, l, true)
 	e.live[e.pos(item)]--
 	c.state = cFree
 	e.freeComms = append(e.freeComms, ci)
@@ -853,8 +846,8 @@ func (e *Engine) commComplete(ci int32) {
 // send port w is free. Ports only go free→busy inside one dispatch pass, so
 // a transfer whose other port is busy right now cannot be granted (or newly
 // gated) this pass; it becomes a candidate when that port's own completion
-// frees it. Transfers parked in a gate bucket are not listed: the opening
-// bucket re-lists them at exactly their gate time.
+// frees it. Transfers parked in a cycle slot are not listed: opening the
+// cycle re-lists them at exactly their gate time.
 //
 //streamsched:hotpath
 func (e *Engine) collectFreed(u, v int32) {
@@ -862,7 +855,7 @@ func (e *Engine) collectFreed(u, v int32) {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
-			if w := wi*64 + b; !e.recvBusy[w] {
+			if w := wi*64 + b; e.recvActive[w] < 0 {
 				e.collectPair(int(u)*e.m + w)
 			}
 		}
@@ -872,7 +865,7 @@ func (e *Engine) collectFreed(u, v int32) {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
 			// Pair (u, v) was collected above: v's receive port is free.
-			if w := wi*64 + b; w != int(u) && !e.sendBusy[w] {
+			if w := wi*64 + b; w != int(u) && e.sendActive[w] < 0 {
 				e.collectPair(w*e.m + int(v))
 			}
 		}
@@ -951,17 +944,9 @@ func (e *Engine) failProcs() {
 			}
 			c.state = cCancelled
 			l := &e.links[c.link]
-			src, dst := e.repProc[l.srcRep], e.repProc[l.dstRep]
-			e.sendBusy[src] = false
-			e.recvBusy[dst] = false
-			e.sendActive[src] = -1
-			e.recvActive[dst] = -1
-			e.instFor(c.item, l.dstRep)
-			di := e.instIdx(c.item, l.dstRep)
-			if e.st[di] == stPending {
-				e.outst[e.pos(c.item)*e.npred+int(l.predSlot)]--
-				e.tryEnqueue(c.item, l.dstRep)
-			}
+			e.sendActive[e.repProc[l.srcRep]] = -1
+			e.recvActive[e.repProc[l.dstRep]] = -1
+			e.settle(c.item, l, false)
 			e.live[e.pos(c.item)]--
 		}
 		// Fail every created instance bound to u, oldest item first (the
@@ -978,19 +963,17 @@ func (e *Engine) failProcs() {
 				}
 			}
 		}
+		// Parked instances of u were failed above; opening their cycle
+		// skips them.
 		e.ready[u] = e.ready[u][:0]
 		e.gatedNew[u] = e.gatedNew[u][:0]
-		e.dropGateBuckets(int32(u))
 	}
 	// The original engine rescanned everything after a failure: every
 	// pending transfer becomes a candidate (dead ones are dropped in
 	// arbitration order) and every processor is rechecked.
 	e.failScan = true
-	for i := range e.dirty {
-		e.dirty[i] = ^uint64(0)
-	}
-	if spare := e.m & 63; spare != 0 && len(e.dirty) > 0 {
-		e.dirty[len(e.dirty)-1] = (1 << spare) - 1
+	for u := 0; u < e.m; u++ {
+		e.dirty.Add(u)
 	}
 }
 
@@ -1008,17 +991,17 @@ func (e *Engine) liveItemsAsc() []int32 {
 
 // --- dispatch ---
 
-func (e *Engine) markDirty(u int32) { e.dirty[u>>6] |= 1 << (uint(u) & 63) }
+func (e *Engine) markDirty(u int32) { e.dirty.Add(int(u)) }
 
-// dispatch starts any work the current event could have enabled: CPU
-// executions on dirty processors, then pending transfers from the candidate
-// list, in the original engine's arbitration order.
+// dispatch starts any work the current event could have enabled: it opens
+// every cycle that has begun, then starts CPU executions on dirty
+// processors, then grants pending transfers from the candidate list, in the
+// original engine's arbitration order.
 //
 //streamsched:hotpath
 func (e *Engine) dispatch() {
-	// Cycle gates that opened by now make their processor dirty.
-	for len(e.cpuGates) > 0 && e.cpuGates[0].at <= e.now {
-		e.markDirty(heapPopTimed(&e.cpuGates).ix)
+	for e.cycle < e.cfg.Items+len(e.cal) && float64(e.cycle)*e.period <= e.now {
+		e.openCycle()
 	}
 	for w := range e.dirty {
 		for e.dirty[w] != 0 {
@@ -1026,25 +1009,6 @@ func (e *Engine) dispatch() {
 			e.dirty[w] &^= 1 << uint(b)
 			e.cpuDispatch(int32(w*64 + b))
 		}
-	}
-	// Transfer gates that opened by now re-enter arbitration, one bucket of
-	// transfers per opening time. A bucket can name a slot that the failure
-	// scan dropped and allocComm recycled, so only a pending transfer that
-	// is not listed yet goes back on its pair list; every pending one is a
-	// candidate.
-	for len(e.commGated) > 0 && e.commGated[0].at <= e.now {
-		b := heapPopTimed(&e.commGated)
-		for _, ci := range b.cis {
-			c := &e.comms[ci]
-			if c.state != cPending {
-				continue
-			}
-			if !c.listed {
-				e.listComm(ci)
-			}
-			e.candidates = append(e.candidates, ci)
-		}
-		e.freeCIs = append(e.freeCIs, b.cis[:0])
 	}
 	if e.failScan {
 		e.failScan = false
@@ -1060,35 +1024,97 @@ func (e *Engine) dispatch() {
 	}
 }
 
+// openCycle opens cycle e.cycle. Its instances join their processors' ready
+// heaps, and those processors turn dirty; a processor that has died since
+// they parked is skipped, because failProcs failed them. A busy processor's
+// heap may take them early: it is a total order that only an idle dispatch
+// reads, so they start exactly when they would have. Its transfers re-enter
+// arbitration. A slot can name a transfer slot that the failure scan
+// dropped and allocComm recycled, so only a pending transfer that is not
+// listed yet goes back on its pair list; every pending one is a candidate.
+//
+//streamsched:hotpath
+func (e *Engine) openCycle() {
+	s := &e.cal[e.cycle&e.calMask]
+	e.cycle++
+	if !s.armed {
+		return
+	}
+	for _, ref := range s.refs {
+		if u := e.repProc[ref.rep]; !e.dead(u) {
+			e.readyPush(u, ref)
+			e.markDirty(u)
+		}
+	}
+	for _, ci := range s.cis {
+		c := &e.comms[ci]
+		if c.state != cPending {
+			continue
+		}
+		if !c.listed {
+			e.listComm(ci)
+		}
+		e.candidates = append(e.candidates, ci)
+	}
+	e.disarm(s)
+}
+
+// gate returns the slot of cycle c, which has not opened, for parking gated
+// work. The first gate of a cycle arms it: it takes the slot's lists and
+// pushes the cycle's one evWake.
+//
+//streamsched:hotpath
+func (e *Engine) gate(c int32) *cycleSlot {
+	s := &e.cal[int(c)&e.calMask]
+	if !s.armed {
+		s.armed = true
+		s.refs, s.cis = take(&e.freeRefs), take(&e.freeCIs)
+		e.wakes++
+		e.pushEvent(float64(c)*e.period, evWake, 0, 0)
+	}
+	return s
+}
+
+// disarm empties an armed slot, returning its lists to the free lists.
+func (e *Engine) disarm(s *cycleSlot) {
+	if !s.armed {
+		return
+	}
+	s.armed = false
+	e.freeRefs = append(e.freeRefs, s.refs[:0])
+	e.freeCIs = append(e.freeCIs, s.cis[:0])
+	s.refs, s.cis = nil, nil
+}
+
+// take pops a recycled list, or makes one.
+func take[T any](free *[][]T) []T {
+	if n := len(*free); n > 0 {
+		l := (*free)[n-1]
+		*free = (*free)[:n-1]
+		return l
+	}
+	return make([]T, 0, 4)
+}
+
 // cpuDispatch replicates one processor's slice of the original CPU scan:
-// wake-ups for newly gated instances (idle processors only, append order),
-// gate openings, then the instLess-minimum ready instance starts.
+// newly queued synchronous instances meet their gate (idle processors only,
+// append order), then the instLess-minimum ready instance starts.
 //
 //streamsched:hotpath
 func (e *Engine) cpuDispatch(u int32) {
 	if e.cpuBusy[u] || e.dead(u) {
 		return
 	}
-	if e.cfg.Synchronous {
-		if len(e.ready[u])+len(e.gatedNew[u])+len(e.gated[u]) == 0 {
-			return
-		}
-		for _, ref := range e.gatedNew[u] {
-			if gate := e.cycleGate(ref); gate > e.now {
-				e.gateCPU(u, gate, ref)
-			} else {
-				e.readyPush(u, ref)
-			}
-		}
-		e.gatedNew[u] = e.gatedNew[u][:0]
-		for len(e.gated[u]) > 0 && e.gated[u][0].at <= e.now {
-			b := heapPopTimed(&e.gated[u])
-			for _, ref := range b.refs {
-				e.readyPush(u, ref)
-			}
-			e.freeRefs = append(e.freeRefs, b.refs[:0])
+	for _, ref := range e.gatedNew[u] {
+		// A stage-σ instance of item k computes from cycle k+2(σ−1) on.
+		if c := ref.item + 2*(e.stage[ref.rep]-1); int(c) >= e.cycle {
+			s := e.gate(c)
+			s.refs = append(s.refs, ref)
+		} else {
+			e.readyPush(u, ref)
 		}
 	}
+	e.gatedNew[u] = e.gatedNew[u][:0]
 	if len(e.ready[u]) == 0 {
 		return
 	}
@@ -1096,89 +1122,6 @@ func (e *Engine) cpuDispatch(u int32) {
 	e.st[e.instIdx(ref.item, ref.rep)] = stRunning
 	e.cpuBusy[u] = true
 	e.pushEvent(e.now+e.repExec[ref.rep], evExec, ref.rep, ref.item)
-}
-
-// cycleGate returns the earliest synchronous start time of an instance.
-func (e *Engine) cycleGate(ref instRef) float64 {
-	return float64(int(ref.item)+2*(int(e.stage[ref.rep])-1)) * e.period
-}
-
-// gateCPU parks a gated instance in its processor's (cycle, proc) bucket.
-// Only the first instance of a bucket costs a timed mark and a wake; the
-// rest ride along. Buckets are only appended to while their gate is still in
-// the future, so the mark and wake armed at creation always cover them.
-//
-//streamsched:hotpath
-func (e *Engine) gateCPU(u int32, gate float64, ref instRef) {
-	h := e.gated[u]
-	for i := range h { // few distinct pending cycles per proc: scan beats a map
-		if h[i].at == gate {
-			h[i].refs = append(h[i].refs, ref)
-			return
-		}
-	}
-	refs := append(e.allocRefs(), ref)
-	heapPushTimed(&e.gated[u], gateBucket{at: gate, refs: refs})
-	heapPushTimed(&e.cpuGates, timedIdx{at: gate, ix: u})
-	e.scheduleWake(gate)
-}
-
-// gateComm parks a gated transfer in the bucket for its opening time.
-//
-//streamsched:hotpath
-func (e *Engine) gateComm(at float64, ci int32) {
-	h := e.commGated
-	for i := range h {
-		if h[i].at == at {
-			h[i].cis = append(h[i].cis, ci)
-			return
-		}
-	}
-	cis := append(e.allocCIs(), ci)
-	heapPushTimed(&e.commGated, commBucket{at: at, cis: cis})
-	e.scheduleWake(at)
-}
-
-// scheduleWake arms one evWake per distinct future opening time; every gate
-// bucket sharing the time rides the same event. wakePending tracks the armed
-// times (retired as their events fire) so duplicates are never pushed.
-//
-//streamsched:hotpath
-func (e *Engine) scheduleWake(at float64) {
-	for i := range e.wakePending {
-		if e.wakePending[i].at == at {
-			return
-		}
-	}
-	heapPushTimed(&e.wakePending, timedIdx{at: at})
-	e.wakes++
-	e.pushEvent(at, evWake, 0, 0)
-}
-
-func (e *Engine) allocRefs() []instRef {
-	if n := len(e.freeRefs); n > 0 {
-		r := e.freeRefs[n-1]
-		e.freeRefs = e.freeRefs[:n-1]
-		return r
-	}
-	return make([]instRef, 0, 4)
-}
-
-func (e *Engine) allocCIs() []int32 {
-	if n := len(e.freeCIs); n > 0 {
-		r := e.freeCIs[n-1]
-		e.freeCIs = e.freeCIs[:n-1]
-		return r
-	}
-	return make([]int32, 0, 4)
-}
-
-// dropGateBuckets empties a processor's gate heap, recycling the ref slices.
-func (e *Engine) dropGateBuckets(u int32) {
-	for i := range e.gated[u] {
-		e.freeRefs = append(e.freeRefs, e.gated[u][i].refs[:0])
-	}
-	e.gated[u] = e.gated[u][:0]
 }
 
 // Wakes reports how many evWake events the last Run pushed — the wakes/op
@@ -1197,9 +1140,10 @@ func (e *Engine) commKey(ci int32) uint64 {
 }
 
 // commDispatch processes the candidate transfers in global arbitration
-// order: dead endpoints drop (cascading), closed cycle gates wake once,
-// free port pairs grant greedily. Duplicate candidates are harmless — a
-// resolved transfer is skipped, a blocked one re-checks idempotently.
+// order: dead endpoints drop (cascading), transfers whose cycle has not
+// opened park in its slot, free port pairs grant greedily. Duplicate
+// candidates are harmless — a resolved transfer is skipped, a blocked one
+// re-checks idempotently.
 //
 //streamsched:hotpath
 func (e *Engine) commDispatch() {
@@ -1234,26 +1178,20 @@ func (e *Engine) commDispatch() {
 		}
 		if e.dead(src) {
 			// Lost transfer: the consumer will not get this input.
-			e.instFor(item, l.dstRep)
-			di := e.instIdx(item, l.dstRep)
-			if e.st[di] == stPending {
-				e.outst[e.pos(item)*e.npred+int(l.predSlot)]--
-				e.tryEnqueue(item, l.dstRep)
-			}
+			e.settle(item, l, false)
 			e.dropComm(ci)
 			continue
 		}
-		if c.earliest > e.now {
+		if int(c.gate) >= e.cycle {
 			if c.listed { // not parked yet
 				e.unlistComm(ci)
-				e.gateComm(c.earliest, ci)
+				s := e.gate(c.gate)
+				s.cis = append(s.cis, ci)
 			}
 			continue
 		}
-		if !e.sendBusy[src] && !e.recvBusy[dst] {
+		if e.sendActive[src] < 0 && e.recvActive[dst] < 0 {
 			e.unlistComm(ci)
-			e.sendBusy[src] = true
-			e.recvBusy[dst] = true
 			e.sendActive[src] = ci
 			e.recvActive[dst] = ci
 			c.state = cGranted
@@ -1330,54 +1268,6 @@ func (e *Engine) readyPop(u int32) instRef {
 		i = c
 	}
 	e.ready[u] = h
-	return top
-}
-
-// timed is anything heap-ordered by an opening time (gate buckets, cycle
-// gate marks). All instantiations are value shapes, so the method calls
-// devirtualize.
-type timed interface{ when() float64 }
-
-func (g gateBucket) when() float64 { return g.at }
-func (b commBucket) when() float64 { return b.at }
-func (x timedIdx) when() float64   { return x.at }
-
-func heapPushTimed[T timed](h *[]T, x T) {
-	*h = append(*h, x)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s[i].when() >= s[p].when() {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-func heapPopTimed[T timed](h *[]T) T {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && s[c+1].when() < s[c].when() {
-			c++
-		}
-		if s[c].when() >= s[i].when() {
-			break
-		}
-		s[i], s[c] = s[c], s[i]
-		i = c
-	}
-	*h = s
 	return top
 }
 

@@ -77,8 +77,8 @@ var fig4Crash = []platform.ProcID{5, 13}
 
 // TestEngineReuseAfterCancelledRun stops a run mid-stream (the loop polls
 // ctx every 1,024 events, so an already-cancelled run returns with
-// transfers still listed, granted and parked in gate buckets) and then
-// reuses the engine: reset must drop every pair list and gate bucket the
+// transfers still listed, granted and parked in cycle slots) and then
+// reuses the engine: reset must drop every pair list and cycle slot the
 // aborted run left behind. A completed run leaves the pair lists empty, so
 // TestEngineReuseMatchesFreshRuns cannot see a reset that forgets them.
 func TestEngineReuseAfterCancelledRun(t *testing.T) {
@@ -99,7 +99,7 @@ func TestEngineReuseAfterCancelledRun(t *testing.T) {
 		if !slices.ContainsFunc(eng.pairHead, func(h int32) bool { return h >= 0 }) {
 			t.Fatalf("sync=%v: the cancelled run left no transfer listed; the test no longer reaches reset's clearing", sync)
 		}
-		if sync && len(eng.commGated) == 0 {
+		if sync && !slices.ContainsFunc(eng.cal, func(s cycleSlot) bool { return len(s.cis) > 0 }) {
 			t.Fatal("the cancelled synchronous run left no transfer parked")
 		}
 		got, err := eng.Run(context.Background(), cfg)
@@ -151,6 +151,40 @@ func TestRingGrowth(t *testing.T) {
 	for k, lat := range res.Latencies {
 		want := float64(2*k+2) - 0.5*float64(k)
 		if math.Abs(lat-want) > 1e-9 {
+			t.Fatalf("item %d latency = %v, want %v", k, lat, want)
+		}
+	}
+}
+
+// TestSyncRunOpensBoundedCycles runs the TestRingGrowth schedule
+// synchronously at a period of 1e-9: the clock ends some 10¹¹ cycles past
+// the last gate, and the run must still open no cycle past the ones a gate
+// can name, and deliver every item with the known latencies.
+func TestSyncRunOpensBoundedCycles(t *testing.T) {
+	g := chain(2, 1, 0)
+	p := platform.Homogeneous(1, 1, 1)
+	const period = 1e-9
+	s := schedule.New(g, p, 0, period, "manual")
+	s.AddReplica(&schedule.Replica{Ref: schedule.Ref{Task: 0, Copy: 0}, Proc: 0, Start: 0, Finish: 1})
+	s.AddReplica(&schedule.Replica{Ref: schedule.Ref{Task: 1, Copy: 0}, Proc: 0, Start: 1, Finish: 2,
+		In: []schedule.Comm{{From: schedule.Ref{Task: 0, Copy: 0}, Volume: 0, Start: 1, Finish: 1}}})
+	eng, err := NewEngine(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const items = 64
+	res, err := eng.Run(context.Background(), Config{Items: items, Synchronous: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.cycle > items+len(eng.cal) {
+		t.Fatalf("opened %d cycles, more than the %d a gate can name", eng.cycle, items+len(eng.cal))
+	}
+	if res.Delivered != items {
+		t.Fatalf("delivered %d/%d", res.Delivered, items)
+	}
+	for k, lat := range res.Latencies {
+		if want := float64(2*k+2) - period*float64(k); math.Abs(lat-want) > 1e-9 {
 			t.Fatalf("item %d latency = %v, want %v", k, lat, want)
 		}
 	}

@@ -27,9 +27,9 @@
 // dense slices indexed by a precomputed replica index × a recycled item ring
 // (only a pipeline-depth window of items is ever live), events are values in
 // a 4-ary heap, and dispatch is incremental — per-processor ready heaps, a
-// dirty-processor worklist and one pending-transfer list per (sender,
-// receiver) processor pair mean an event only touches the state it could
-// have changed. The per-schedule static tables (exec durations, out-link
+// dirty-processor worklist, one pending-transfer list per (sender,
+// receiver) processor pair and a ring of synchronous cycle slots mean an
+// event only touches the state it could have changed. The per-schedule static tables (exec durations, out-link
 // fan-out, transfer durations, arbitration ranks) are built once by
 // NewEngine and shared across runs, so experiment campaigns reuse one Engine
 // for every scenario of a schedule.
@@ -69,8 +69,13 @@ type Config struct {
 	// transfer no earlier than cycle (k + 2σ−1)·Δ, so the measured latency
 	// approaches the (2S−1)·Δ bound from below and crashes surface as whole
 	// extra cycles when a surviving exit replica sits in a deeper stage.
-	// The default (false) is free-running dataflow execution: every
-	// instance starts as soon as its inputs and resources allow.
+	// The (2S−1)·Δ bound and the throughput 1/Δ are guarantees of these
+	// semantics. The default (false) is free-running dataflow execution:
+	// every instance starts as soon as its inputs and resources allow. It
+	// promises delivery under at most ε crashes, but neither the bound nor
+	// the period: a processor loaded to exactly Δ loses every idle gap it
+	// spends waiting for an input, so its backlog, and with it the latency,
+	// can grow past (2S−1)·Δ.
 	Synchronous bool
 	// TraceItems, when positive, records the executions and transfers of
 	// the first TraceItems data items in Result.Trace (exportable to the

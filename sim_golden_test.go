@@ -15,12 +15,14 @@ package streamsched_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
 
+	"streamsched/internal/dag"
 	"streamsched/internal/ltf"
 	"streamsched/internal/platform"
 	"streamsched/internal/randgraph"
@@ -121,6 +123,65 @@ func simGoldenRingOverload(t *testing.T) *schedule.Schedule {
 	return s
 }
 
+// simGoldenHorizon is a hand-built ε=1 schedule whose consumer waits
+// nearly the longest a synchronous run allows for its gate. A chain x0…x_d (work
+// 0.5, unit volumes) has copy 0 co-located on P0, so that whole copy is at
+// stage 1, while copy 1 alternates P1/P2 and goes one stage deeper per hop.
+// The consumer c (work 1) has copies on P3 and P4, each fed by both copies
+// of x_d, which puts c at stage S = d+2. With P1 dead from t=0 the deep
+// copy is lost and c's input comes from the shallow copy in cycle k+1, so
+// c's instance of item k parks 2S−4 cycles past the first unopened cycle,
+// one short of the 2S−3 a synchronous run can reach, and waits until cycle
+// k+2S−2: the latency is (2S−2)Δ+1.
+func simGoldenHorizon(d int) func(*testing.T) *schedule.Schedule {
+	return func(t *testing.T) *schedule.Schedule {
+		t.Helper()
+		g := dag.New(fmt.Sprintf("horizon-%d", d))
+		for i := 0; i <= d; i++ {
+			g.AddTask(fmt.Sprintf("x%d", i), 0.5)
+			if i > 0 {
+				g.MustAddEdge(dag.TaskID(i-1), dag.TaskID(i), 1)
+			}
+		}
+		c := g.AddTask("c", 1)
+		g.MustAddEdge(dag.TaskID(d), c, 1)
+		s := schedule.New(g, platform.Homogeneous(5, 1, 1), 1, 10, "manual")
+		deep := func(i int) platform.ProcID { return platform.ProcID(1 + i%2) }
+		for i := 0; i <= d; i++ {
+			shallow := &schedule.Replica{Ref: schedule.Ref{Task: dag.TaskID(i), Copy: 0}, Proc: 0,
+				Start: 0.5 * float64(i), Finish: 0.5 * float64(i+1)}
+			// Copy 1 of x_i finishes at 0.5+1.5i: each hop is a unit
+			// transfer and a half-unit execution.
+			fin := 0.5 + 1.5*float64(i)
+			deepRep := &schedule.Replica{Ref: schedule.Ref{Task: dag.TaskID(i), Copy: 1}, Proc: deep(i),
+				Start: fin - 0.5, Finish: fin}
+			if i > 0 {
+				shallow.In = []schedule.Comm{{From: schedule.Ref{Task: dag.TaskID(i - 1), Copy: 0},
+					Volume: 1, Start: shallow.Start, Finish: shallow.Start}}
+				deepRep.In = []schedule.Comm{{From: schedule.Ref{Task: dag.TaskID(i - 1), Copy: 1},
+					Volume: 1, Start: fin - 1.5, Finish: fin - 0.5}}
+			}
+			s.AddReplica(shallow)
+			s.AddReplica(deepRep)
+		}
+		// P0 sends x_d's output to P3 then P4, and x_d's deep copy does the
+		// same from its own finish.
+		shallowFin, deepFin := 0.5*float64(d+1), 0.5+1.5*float64(d)
+		for copyIdx := 0; copyIdx < 2; copyIdx++ {
+			off := float64(copyIdx)
+			s.AddReplica(&schedule.Replica{Ref: schedule.Ref{Task: c, Copy: copyIdx},
+				Proc: platform.ProcID(3 + copyIdx), Start: deepFin + 1 + off, Finish: deepFin + 2 + off,
+				In: []schedule.Comm{
+					{From: schedule.Ref{Task: dag.TaskID(d), Copy: 0}, Volume: 1,
+						Start: shallowFin + off, Finish: shallowFin + 1 + off},
+					{From: schedule.Ref{Task: dag.TaskID(d), Copy: 1}, Volume: 1,
+						Start: deepFin + off, Finish: deepFin + 1 + off},
+				}})
+		}
+		return s
+	}
+}
+
 // simFig4Seed names the one Fig. 4 cell the fig4 goldens and the
 // BenchmarkSim/fig4 cases simulate; simFig4Crash is the crash set that
 // experiments.makeCell's r.Sample draw picks for it.
@@ -168,7 +229,7 @@ func simGoldenCases() []simGoldenCase {
 		return func(t *testing.T) *schedule.Schedule { _, s := simGoldenSchedules(t, eps); return s }
 	}
 	fig4 := func(t *testing.T) *schedule.Schedule { return simGoldenFig4(t) }
-	return []simGoldenCase{
+	cases := []simGoldenCase{
 		// Free-running dataflow semantics.
 		{name: "df_butterfly_eps0", sched: butterfly(0),
 			cfg: sim.Config{Items: 24, Warmup: 4, TraceItems: 2}},
@@ -212,6 +273,16 @@ func simGoldenCases() []simGoldenCase {
 		{name: "sync_fig4_eps3_crash2", sched: fig4, defaultItems: true, crash: simFig4Crash,
 			cfg: sim.Config{Synchronous: true}},
 	}
+	// Gates near the synchronous horizon, 2S−4 cycles past the first
+	// unopened one, for S = 4, 8 and 16: on both sides of several
+	// power-of-two ring sizes, so a cycle ring one power of two too small
+	// opens them early.
+	for _, d := range []int{2, 6, 14} {
+		cases = append(cases, simGoldenCase{name: fmt.Sprintf("sync_horizon_crash_s%d", d+2),
+			sched: simGoldenHorizon(d), crash: []platform.ProcID{1},
+			cfg: sim.Config{Items: 24, Warmup: 4, Synchronous: true}})
+	}
+	return cases
 }
 
 func TestGoldenSimResults(t *testing.T) {
