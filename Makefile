@@ -2,7 +2,7 @@
 # so a green `make ci` predicts a green CI run.
 
 GO ?= go
-BENCH_RE ?= BenchmarkLTF|BenchmarkRLTF|BenchmarkReplan|BenchmarkSim|BenchmarkTimelineReserve|BenchmarkServiceSolveCached|BenchmarkServiceSimulateCached|BenchmarkServiceSolveTraced|BenchmarkTxnRollback|BenchmarkScheduleJSON|BenchmarkReplanHash
+BENCH_RE ?= BenchmarkLTF|BenchmarkRLTF|BenchmarkReplan|BenchmarkSim|BenchmarkTimelineReserve|BenchmarkServiceSolveCached|BenchmarkServiceSimulateCached|BenchmarkServiceSolveTraced|BenchmarkTxnRollback|BenchmarkScheduleJSON|BenchmarkLoadJSON|BenchmarkReplanHash
 BENCHTIME ?= 5x
 COUNT ?= 3
 
@@ -37,15 +37,18 @@ lint: fmt vet
 	fi
 
 # fuzz replays the committed seed corpora, then gives each native fuzz
-# target a short exploration budget. Same step CI runs.
+# target a short exploration budget. Same step CI runs. Every -fuzz
+# pattern is anchored: go test -fuzz refuses a pattern matching two targets.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run Fuzz . ./internal/service/ ./internal/schedule/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/service/
-	$(GO) test -run '^$$' -fuzz FuzzCanonicalProblemHash -fuzztime $(FUZZTIME) ./internal/service/
-	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/service/
-	$(GO) test -run '^$$' -fuzz FuzzScheduleJSON -fuzztime $(FUZZTIME) ./internal/schedule/
+	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalProblemHash$$' -fuzztime $(FUZZTIME) ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzReplanHandler$$' -fuzztime $(FUZZTIME) ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzScheduleJSON$$' -fuzztime $(FUZZTIME) ./internal/schedule/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadJSON$$' -fuzztime $(FUZZTIME) ./internal/schedule/
 
 # test mirrors the CI test job (race + short). test-full runs the slow
 # experiment sweeps too.

@@ -250,12 +250,13 @@ func benchLTFSchedule(b *testing.B) (*streamsched.Schedule, *streamsched.Solver)
 
 // BenchmarkScheduleJSON measures the interchange rendering a service miss
 // pays once per schedule: MarshalJSON of BenchmarkLTF's ε=1 schedule, one
-// stage pass and one compact json.Marshal. Part of the CI perf gate.
+// stage pass and one direct append into a pooled buffer. Part of the CI
+// perf gate.
 func BenchmarkScheduleJSON(b *testing.B) {
 	s, _ := benchLTFSchedule(b)
-	// One untimed render refills encoding/json's encoder pool, which the
-	// GC before every run can empty: without it, allocs/op at the gate's
-	// 5x moves with the GC's timing.
+	// One untimed render refills MarshalJSON's buffer pool, which the GC
+	// before every run can empty: without it, allocs/op at the gate's 5x
+	// moves with the GC's timing.
 	if _, err := s.MarshalJSON(); err != nil {
 		b.Fatal(err)
 	}
@@ -263,6 +264,24 @@ func BenchmarkScheduleJSON(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.MarshalJSON(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoadJSON measures the rebuild a /v1/replan request and every
+// /v1/simulate cache hit pay: LoadJSON of BenchmarkScheduleJSON's bytes
+// against the schedule's graph and platform. Part of the CI perf gate.
+func BenchmarkLoadJSON(b *testing.B) {
+	s, _ := benchLTFSchedule(b)
+	data, err := s.MarshalJSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := streamsched.LoadScheduleJSON(data, s.G, s.P); err != nil {
 			b.Fatal(err)
 		}
 	}

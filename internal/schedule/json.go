@@ -4,17 +4,27 @@ package schedule
 // deployment would consume (which replica of which task runs where and
 // when, and which transfers feed it). The graph and platform are referenced
 // by summary only — they are inputs, not outputs, of the scheduler.
+//
+// The document is written and read without reflection. MarshalJSON appends
+// it straight from the Schedule, byte for byte what encoding/json wrote for
+// the serialized form below. LoadJSON reads that canonical compact form in
+// one pass (canonical.go) and hands any other spelling to json.Unmarshal, so
+// what it accepts, the schedule it builds and every error it reports stay
+// encoding/json's.
 
 import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
+	"sync"
+	"unicode/utf8"
 
 	"streamsched/internal/dag"
 	"streamsched/internal/platform"
 )
 
-// jsonSchedule is the serialized form.
+// jsonSchedule is the serialized form, as LoadJSON decodes and checks it.
 type jsonSchedule struct {
 	Algorithm string        `json:"algorithm"`
 	Eps       int           `json:"eps"`
@@ -46,60 +56,207 @@ type jsonComm struct {
 	Finish   float64 `json:"finish"`
 }
 
-// MarshalJSON renders the schedule in its interchange form: compact JSON
-// from one json.Marshal of the serialized form, whose stage numbers, S and
-// latency bound all come from a single StageNumbers pass. The bytes are
-// already what json.Marshal(s) returns — its re-scan of a Marshaler's
-// output leaves compact, escaped JSON as it is — so a service can write
-// them verbatim; json.Indent them for human readers.
+// renderBuffers keeps MarshalJSON's growing buffers between renders, so a
+// render allocates only the exact-size copy it returns.
+var renderBuffers = sync.Pool{New: func() any { return new([]byte) }}
+
+// MarshalJSON renders the schedule in its interchange form: compact JSON in
+// the serialized form's field order, with the per-replica stage numbers, S
+// and the latency bound from a single StageNumbers pass. The bytes are what
+// json.Marshal of the serialized form returns — floats in its format,
+// strings HTML-escaped — and also what json.Marshal(s) returns, so a
+// service can write them verbatim; json.Indent them for human readers. The
+// returned slice is exactly as long as its capacity: a cache holds it
+// without slack. A NaN or infinite time or bound is an error.
 func (s *Schedule) MarshalJSON() ([]byte, error) {
 	stages := s.StageNumbers()
 	S := maxStage(stages)
-	out := jsonSchedule{
-		Algorithm: s.Algorithm,
-		Eps:       s.Eps,
-		Period:    s.Period,
-		Graph:     s.G.Name(),
-		Tasks:     s.G.NumTasks(),
-		Procs:     s.P.NumProcs(),
-		Stages:    S,
-		Latency:   s.latencyBound(S),
-	}
-	for _, r := range s.All() {
-		jr := jsonReplica{
-			Task:   int(r.Ref.Task),
-			Name:   s.G.Task(r.Ref.Task).Name,
-			Copy:   r.Ref.Copy,
-			Proc:   int(r.Proc),
-			Start:  r.Start,
-			Finish: r.Finish,
-			Stage:  stages[s.Index(r.Ref)],
+	buf := renderBuffers.Get().(*[]byte)
+	defer renderBuffers.Put(buf)
+	e := encoder{b: (*buf)[:0]}
+	e.raw(`{"algorithm":`)
+	e.str(s.Algorithm)
+	e.raw(`,"eps":`)
+	e.int(s.Eps)
+	e.raw(`,"period":`)
+	e.float(s.Period)
+	e.raw(`,"graph":`)
+	e.str(s.G.Name())
+	e.raw(`,"tasks":`)
+	e.int(s.G.NumTasks())
+	e.raw(`,"procs":`)
+	e.int(s.P.NumProcs())
+	e.raw(`,"stages":`)
+	e.int(S)
+	e.raw(`,"latencyBound":`)
+	e.float(s.latencyBound(S))
+	e.raw(`,"replicas":`)
+	open := "["
+	for _, copies := range s.replicas {
+		for _, r := range copies {
+			if r == nil {
+				continue
+			}
+			e.raw(open)
+			open = ","
+			e.raw(`{"task":`)
+			e.int(int(r.Ref.Task))
+			e.raw(`,"name":`)
+			e.str(s.G.Task(r.Ref.Task).Name)
+			e.raw(`,"copy":`)
+			e.int(r.Ref.Copy)
+			e.raw(`,"proc":`)
+			e.int(int(r.Proc))
+			e.raw(`,"start":`)
+			e.float(r.Start)
+			e.raw(`,"finish":`)
+			e.float(r.Finish)
+			e.raw(`,"stage":`)
+			e.int(stages[s.Index(r.Ref)])
+			for k, c := range r.In {
+				if k == 0 {
+					e.raw(`,"in":[`)
+				} else {
+					e.raw(",")
+				}
+				e.raw(`{"fromTask":`)
+				e.int(int(c.From.Task))
+				e.raw(`,"fromCopy":`)
+				e.int(c.From.Copy)
+				e.raw(`,"volume":`)
+				e.float(c.Volume)
+				e.raw(`,"start":`)
+				e.float(c.Start)
+				e.raw(`,"finish":`)
+				e.float(c.Finish)
+				e.raw("}")
+			}
+			if len(r.In) > 0 {
+				e.raw("]")
+			}
+			e.raw("}")
 		}
-		for _, c := range r.In {
-			jr.In = append(jr.In, jsonComm{
-				FromTask: int(c.From.Task),
-				FromCopy: c.From.Copy,
-				Volume:   c.Volume,
-				Start:    c.Start,
-				Finish:   c.Finish,
-			})
-		}
-		out.Replicas = append(out.Replicas, jr)
 	}
-	return json.Marshal(out)
+	if open == "[" {
+		e.raw("null") // no replicas: encoding/json's rendering of a nil slice
+	} else {
+		e.raw("]")
+	}
+	e.raw("}")
+	*buf = e.b
+	if e.err != nil {
+		return nil, e.err
+	}
+	out := make([]byte, len(e.b))
+	copy(out, e.b)
+	return out, nil
+}
+
+// encoder appends JSON values as encoding/json writes them; err keeps the
+// first value JSON cannot represent.
+type encoder struct {
+	b   []byte
+	err error
+}
+
+func (e *encoder) raw(s string) { e.b = append(e.b, s...) }
+
+func (e *encoder) int(v int) { e.b = strconv.AppendInt(e.b, int64(v), 10) }
+
+// float writes f in encoding/json's format: the shortest 'f' form, or 'e'
+// below 1e-6 and from 1e21 on in magnitude with e-07 written as e-7.
+func (e *encoder) float(f float64) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		if e.err == nil {
+			e.err = fmt.Errorf("schedule: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
+	if n := len(e.b); format == 'e' && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
+		e.b[n-2] = e.b[n-1]
+		e.b = e.b[:n-1]
+	}
+}
+
+// str writes s quoted and escaped as encoding/json does by default:
+// quote, backslash and control bytes, the HTML-sensitive <, > and &, and
+// U+2028/U+2029 are escaped, and each invalid UTF-8 byte becomes \ufffd.
+func (e *encoder) str(s string) {
+	const hex = "0123456789abcdef"
+	b := append(e.b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+			start = i + size
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	b = append(b, s[start:]...)
+	e.b = append(b, '"')
 }
 
 // LoadJSON reconstructs a schedule previously serialized with MarshalJSON,
 // re-binding it to the given graph and platform (which must match the
-// serialized dimensions). The structure is checked before anything is
-// built from it, so untrusted input yields an error, never a panic or an
-// allocation sized by an unchecked field. A schedule whose latency bound
-// (2S−1)Δ overflows is refused too: MarshalJSON could not render it.
+// serialized dimensions). MarshalJSON's own compact bytes are read in one
+// pass; any other spelling of the document (indented, reordered, escaped)
+// goes through json.Unmarshal, which decides acceptance and error text as
+// it always has. The structure is checked before anything is built from
+// it, so untrusted input yields an error, never a panic or an allocation
+// sized by an unchecked field. A schedule whose latency bound (2S−1)Δ
+// overflows is refused too: MarshalJSON could not render it.
 func LoadJSON(data []byte, g *dag.Graph, p *platform.Platform) (*Schedule, error) {
 	var in jsonSchedule
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("schedule: %w", err)
+	if !in.decodeCanonical(data) {
+		in = jsonSchedule{}
+		if err := json.Unmarshal(data, &in); err != nil {
+			return nil, fmt.Errorf("schedule: %w", err)
+		}
 	}
+	return in.build(g, p)
+}
+
+// build checks the decoded document against g and p and constructs the
+// schedule; all replicas share one allocation, as do all transfers.
+func (in *jsonSchedule) build(g *dag.Graph, p *platform.Platform) (*Schedule, error) {
 	if in.Tasks != g.NumTasks() {
 		return nil, fmt.Errorf("schedule: serialized for %d tasks, graph has %d", in.Tasks, g.NumTasks())
 	}
@@ -113,20 +270,30 @@ func LoadJSON(data []byte, g *dag.Graph, p *platform.Platform) (*Schedule, error
 		return nil, err
 	}
 	s := New(g, p, in.Eps, in.Period, in.Algorithm)
+	reps := make([]Replica, len(in.Replicas))
+	n := 0
 	for _, jr := range in.Replicas {
-		rep := &Replica{
+		n += len(jr.In)
+	}
+	comms := make([]Comm, n)
+	for i, jr := range in.Replicas {
+		rep := &reps[i]
+		*rep = Replica{
 			Ref:    Ref{Task: dag.TaskID(jr.Task), Copy: jr.Copy},
 			Proc:   platform.ProcID(jr.Proc),
 			Start:  jr.Start,
 			Finish: jr.Finish,
 		}
-		for _, c := range jr.In {
-			rep.In = append(rep.In, Comm{
-				From:   Ref{Task: dag.TaskID(c.FromTask), Copy: c.FromCopy},
-				Volume: c.Volume,
-				Start:  c.Start,
-				Finish: c.Finish,
-			})
+		if k := len(jr.In); k > 0 {
+			rep.In, comms = comms[:k:k], comms[k:]
+			for j, c := range jr.In {
+				rep.In[j] = Comm{
+					From:   Ref{Task: dag.TaskID(c.FromTask), Copy: c.FromCopy},
+					Volume: c.Volume,
+					Start:  c.Start,
+					Finish: c.Finish,
+				}
+			}
 		}
 		s.AddReplica(rep)
 	}

@@ -12,6 +12,11 @@
 // cycle time Δ_u = max(Σ_u, C_u^I, C_u^O), pipeline stages S and the latency
 // bound L = (2S−1)·Δ, plus the reliability predicate (does a valid result
 // survive any ε processor failures?).
+//
+// A Schedule crosses process boundaries as compact interchange JSON:
+// MarshalJSON appends it directly, with encoding/json's exact bytes, and
+// LoadJSON reads that canonical form in one pass, falling back to
+// encoding/json for any other spelling.
 package schedule
 
 import (

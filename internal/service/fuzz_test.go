@@ -1,7 +1,7 @@
 package service
 
 // Native fuzz targets for the wire boundary — the only place untrusted
-// bytes enter the stack. Two properties are pinned:
+// bytes enter the stack. Three properties are pinned:
 //
 //   - FuzzWireDecode: for any JSON that decodes and builds, encoding is a
 //     fixed point — decode(encode(decode(x))) re-encodes byte-identically.
@@ -11,13 +11,19 @@ package service
 //     any input that builds, is deterministic, and is invariant under a
 //     wire round-trip of the problem (so cache keys computed from decoded
 //     requests equal keys computed from re-encoded ones).
+//   - FuzzReplanHandler: any /v1/replan body, committed schedule included,
+//     gets a status from the documented set and never a panic.
 //
-// Seed corpus: testdata/fuzz/<target>/. CI runs each target for a short
-// budget (make fuzz); `go test -fuzz` explores from the same seeds.
+// Seed corpus: testdata/fuzz/<target>/, and the requests FuzzReplanHandler
+// adds itself. CI runs each target for a short budget (make fuzz);
+// `go test -fuzz` explores from the same seeds.
 
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"sort"
 	"testing"
 )
 
@@ -140,6 +146,55 @@ func FuzzCanonicalProblemHash(f *testing.F) {
 		}
 		if h3 := ProblemHash(g2, p2, s); h3 != h1 {
 			t.Fatalf("hash not stable under wire round-trip: %s vs %s", h1, h3)
+		}
+	})
+}
+
+// FuzzReplanHandler posts the fuzz bytes as a /v1/replan body through the
+// server's handler. Every reply must be a 200, a typed refusal (400 or
+// 413), an infeasibility or budget conflict (409), or the deadline a body
+// may set itself through timeoutMs (504) — never a 500 — and the panics
+// counter /metrics reports must stay 0. Seeds: the replan requests of the service golden (a
+// speed-up, a lost processor, a broken and a missing schedule) and every
+// malformation TestReplanRejectsMalformedRequests refuses.
+func FuzzReplanHandler(f *testing.F) {
+	good := replanRequest(f, 2, PlatformDelta{Speed: []ProcSpeed{{Proc: 1, Speed: 2}}})
+	lost, broken, missing := good, good, good
+	lost.Delta = PlatformDelta{Lost: []int{3}}
+	broken.Schedule = json.RawMessage(`{"eps":1}`)
+	missing.Schedule = nil
+	seeds := []ReplanRequest{good, lost, broken, missing}
+	bad := malformedReplans(f, good)
+	names := make([]string, 0, len(bad))
+	for name := range bad {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		seeds = append(seeds, bad[name])
+	}
+	for _, req := range seeds {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	srv := New(Config{})
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/replan", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusConflict,
+			http.StatusRequestEntityTooLarge, http.StatusGatewayTimeout:
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body.Bytes())
+		}
+		if m := srv.Metrics(); m.Panics != 0 {
+			t.Fatalf("%d panics after body %q", m.Panics, body)
 		}
 	})
 }

@@ -303,7 +303,8 @@ func (h *Handle) Simulate(ctx context.Context, sp Spec, scenarios []Scenario) (O
 }
 
 // ReasonScenarioTooLarge is the stable leading token of the error message
-// rejecting a scenario with more items than maxScenarioSlots allows.
+// rejecting a sweep with more scenarios than maxScenarios, or a scenario
+// with more items than maxScenarioSlots allows.
 const ReasonScenarioTooLarge = "scenario-too-large"
 
 // maxScenarioSlots bounds the items × exit tasks completion slots (float64,
@@ -311,11 +312,19 @@ const ReasonScenarioTooLarge = "scenario-too-large"
 // sim.DefaultConfig's 3S+40 items stay far below it.
 const maxScenarioSlots = 1 << 22
 
+// maxScenarios bounds the scenarios of one sweep: each runs the simulator
+// and adds a result to a reply that is held whole before it is written.
+const maxScenarios = 1024
+
 // checkScenarios rejects what the simulator must not be asked to run: more
-// items than maxScenarioSlots holds for the graph's exit tasks, which no
-// deadline could interrupt, or a crash processor outside the platform,
-// which would index past the engine's per-processor state.
+// scenarios than maxScenarios, more items than maxScenarioSlots holds for
+// the graph's exit tasks, which no deadline could interrupt, or a crash
+// processor outside the platform, which would index past the engine's
+// per-processor state.
 func checkScenarios(scenarios []Scenario, sp Spec) error {
+	if len(scenarios) > maxScenarios {
+		return fmt.Errorf("%s: %d scenarios exceed %d per request", ReasonScenarioTooLarge, len(scenarios), maxScenarios)
+	}
 	procs := sp.Platform.NumProcs()
 	exits := max(len(sp.Graph.Exits()), 1)
 	for _, sc := range scenarios {

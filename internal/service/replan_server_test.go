@@ -27,7 +27,7 @@ import (
 
 // replanRequest builds a valid /v1/replan payload: the feasibleRequest
 // problem solved in-process, plus delta.
-func replanRequest(t *testing.T, work float64, delta PlatformDelta) ReplanRequest {
+func replanRequest(t testing.TB, work float64, delta PlatformDelta) ReplanRequest {
 	t.Helper()
 	base := feasibleRequest(work)
 	sp := solveSpec(t, base)
@@ -108,54 +108,44 @@ func TestReplanEndToEnd(t *testing.T) {
 	}
 }
 
-func TestReplanRejectsMalformedRequests(t *testing.T) {
-	srv := New(Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	good := replanRequest(t, 2, PlatformDelta{Speed: []ProcSpeed{{Proc: 1, Speed: 2}}})
+// malformedReplans returns good under each malformation a /v1/replan
+// must refuse with a 400 before any work is admitted. good must come from
+// replanRequest.
+func malformedReplans(tb testing.TB, good ReplanRequest) map[string]ReplanRequest {
+	tb.Helper()
 	// badSchedule rewrites the committed schedule; rep is the first replica
 	// that receives an input, which in the chain instance is not a source.
-	badSchedule := func(f func(sched, rep map[string]any)) func() ReplanRequest {
-		return func() ReplanRequest {
-			var sched map[string]any
-			if err := json.Unmarshal(good.Schedule, &sched); err != nil {
-				t.Fatal(err)
-			}
-			var rep map[string]any
-			for _, r := range sched["replicas"].([]any) {
-				if in, _ := r.(map[string]any)["in"].([]any); len(in) > 0 {
-					rep = r.(map[string]any)
-					break
-				}
-			}
-			if rep == nil {
-				t.Fatal("no replica with an input transfer")
-			}
-			f(sched, rep)
-			raw, err := json.Marshal(sched)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := good
-			r.Schedule = raw
-			return r
+	badSchedule := func(f func(sched, rep map[string]any)) ReplanRequest {
+		var sched map[string]any
+		if err := json.Unmarshal(good.Schedule, &sched); err != nil {
+			tb.Fatal(err)
 		}
+		var rep map[string]any
+		for _, r := range sched["replicas"].([]any) {
+			if in, _ := r.(map[string]any)["in"].([]any); len(in) > 0 {
+				rep = r.(map[string]any)
+				break
+			}
+		}
+		if rep == nil {
+			tb.Fatal("no replica with an input transfer")
+		}
+		f(sched, rep)
+		raw, err := json.Marshal(sched)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		r := good
+		r.Schedule = raw
+		return r
 	}
-	cases := map[string]func() ReplanRequest{
-		"bad version": func() ReplanRequest { r := good; r.SchemaVersion = 99; return r },
-		"no schedule": func() ReplanRequest { r := good; r.Schedule = nil; return r },
-		"options mismatch": func() ReplanRequest {
-			r := good
-			r.Options.Eps = 0 // schedule was solved at eps=1
-			return r
-		},
-		"bad delta": func() ReplanRequest {
-			r := good
-			r.Delta = PlatformDelta{Lost: []int{99}}
-			return r
-		},
-		"negative budget": func() ReplanRequest { r := good; r.RepairBudget = -1; return r },
+	with := func(f func(r *ReplanRequest)) ReplanRequest { r := good; f(&r); return r }
+	return map[string]ReplanRequest{
+		"bad version":      with(func(r *ReplanRequest) { r.SchemaVersion = 99 }),
+		"no schedule":      with(func(r *ReplanRequest) { r.Schedule = nil }),
+		"options mismatch": with(func(r *ReplanRequest) { r.Options.Eps = 0 }), // schedule was solved at eps=1
+		"bad delta":        with(func(r *ReplanRequest) { r.Delta = PlatformDelta{Lost: []int{99}} }),
+		"negative budget":  with(func(r *ReplanRequest) { r.RepairBudget = -1 }),
 		// Structurally broken committed schedules are refused while
 		// decoding: no panic inside the handler, no solve, and no ε taken
 		// from the body sizes an allocation.
@@ -175,8 +165,16 @@ func TestReplanRejectsMalformedRequests(t *testing.T) {
 			rep["in"].([]any)[0].(map[string]any)["fromTask"] = rep["task"]
 		}),
 	}
-	for name, build := range cases {
-		resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/replan", build())
+}
+
+func TestReplanRejectsMalformedRequests(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	good := replanRequest(t, 2, PlatformDelta{Speed: []ProcSpeed{{Proc: 1, Speed: 2}}})
+	for name, req := range malformedReplans(t, good) {
+		resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/replan", req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", name, resp.StatusCode, data)
 		}

@@ -716,6 +716,26 @@ func TestSimulateRejectsOversizedScenario(t *testing.T) {
 	if m := srv.Metrics(); m.SolveCalls != 0 {
 		t.Fatalf("in-process rejection ran %d solves", m.SolveCalls)
 	}
+
+	// The number of scenarios is bounded too: maxScenarios pass the check,
+	// one more is refused over HTTP and in process alike, before the solve.
+	if err := checkScenarios(make([]Scenario, maxScenarios), sp); err != nil {
+		t.Fatalf("%d scenarios rejected: %v", maxScenarios, err)
+	}
+	req.Scenarios = make([]Scenario, maxScenarios+1)
+	resp, data = postJSON(t, ts.Client(), ts.URL+"/v1/simulate", req)
+	sr = SimulateResponse{}
+	json.Unmarshal(data, &sr)
+	if resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(sr.Error, ReasonScenarioTooLarge+":") {
+		t.Fatalf("%d scenarios: status %d (%s), want 400 with %q", maxScenarios+1, resp.StatusCode, data, ReasonScenarioTooLarge)
+	}
+	_, _, err = srv.Simulate(context.Background(), sp, make([]Scenario, maxScenarios+1))
+	if err == nil || !strings.HasPrefix(err.Error(), ReasonScenarioTooLarge+":") {
+		t.Fatalf("Handle.Simulate with %d scenarios: %v", maxScenarios+1, err)
+	}
+	if m := srv.Metrics(); m.SolveCalls != 0 || m.SimRuns != 0 {
+		t.Fatalf("rejected sweeps still ran %d solves and %d simulations", m.SolveCalls, m.SimRuns)
+	}
 }
 
 func TestHealthz(t *testing.T) {
